@@ -9,28 +9,17 @@ namespace atpm {
 
 namespace {
 
-/// Global-registry instruments of the adaptive decision loops. Registered
-/// once on first use.
+/// Global-registry instruments of the speculative pipelining layer.
+/// Registered once on first use.
 struct PolicyMetrics {
-  obs::Counter* decisions;
-  obs::Counter* rounds;
   obs::Counter* spec_hits;
   obs::Counter* spec_misses;
   obs::Counter* spec_discards;
-  obs::Counter* degradation_total;
-  /// Indexed by DegradationReason's underlying value.
-  obs::Counter* degradation_by_reason[5];
 
   static const PolicyMetrics& Get() {
     static const PolicyMetrics* const metrics = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
       auto* m = new PolicyMetrics();
-      m->decisions = reg.RegisterCounter(
-          "atpm_decisions_total",
-          "Candidate seed decisions concluded by adaptive policies");
-      m->rounds = reg.RegisterCounter(
-          "atpm_decision_rounds_total",
-          "Error-halving rounds run across all decisions");
       m->spec_hits = reg.RegisterCounter(
           "atpm_speculation_hits_total",
           "Decisions whose first round was served from a speculative answer");
@@ -40,24 +29,6 @@ struct PolicyMetrics {
       m->spec_discards = reg.RegisterCounter(
           "atpm_speculation_discards_total",
           "Stored speculative answers discarded stale or undersized");
-      m->degradation_total = reg.RegisterCounter(
-          "atpm_degradation_events_total",
-          "Decisions forced to conclude with less evidence than requested");
-      m->degradation_by_reason[0] = reg.RegisterCounter(
-          "atpm_degradation_deadline_total",
-          "Degraded decisions: RunBudget deadline passed");
-      m->degradation_by_reason[1] = reg.RegisterCounter(
-          "atpm_degradation_pool_bytes_total",
-          "Degraded decisions: RR-pool byte cap reached");
-      m->degradation_by_reason[2] = reg.RegisterCounter(
-          "atpm_degradation_cancelled_total",
-          "Degraded decisions: CancelToken cancelled");
-      m->degradation_by_reason[3] = reg.RegisterCounter(
-          "atpm_degradation_rr_budget_total",
-          "Degraded decisions: per-decision RR cap exhausted");
-      m->degradation_by_reason[4] = reg.RegisterCounter(
-          "atpm_degradation_alloc_failure_total",
-          "Degraded decisions: allocation failure absorbed");
       return m;
     }();
     return *metrics;
@@ -65,24 +36,6 @@ struct PolicyMetrics {
 };
 
 }  // namespace
-
-void NoteDegradationEvent(const DegradationEvent& event) {
-  ATPM_WARN(
-      "degraded decision: node=%u reason=%s rounds_completed=%u "
-      "requested_theta=%llu achieved_theta=%llu",
-      static_cast<unsigned>(event.node), DegradationReasonName(event.reason),
-      static_cast<unsigned>(event.rounds_completed),
-      static_cast<unsigned long long>(event.requested_theta),
-      static_cast<unsigned long long>(event.achieved_theta));
-  const PolicyMetrics& metrics = PolicyMetrics::Get();
-  metrics.degradation_total->Increment();
-  const size_t reason = static_cast<size_t>(event.reason);
-  if (reason < 5) metrics.degradation_by_reason[reason]->Increment();
-}
-
-void NotePolicyDecision() { PolicyMetrics::Get().decisions->Increment(); }
-
-void NotePolicyRound() { PolicyMetrics::Get().rounds->Increment(); }
 
 const char* DegradationReasonName(DegradationReason reason) {
   switch (reason) {
@@ -98,19 +51,6 @@ const char* DegradationReasonName(DegradationReason reason) {
       return "alloc-failure";
   }
   return "unknown";
-}
-
-DegradationReason ReasonFromBudgetStop(BudgetStop stop) {
-  switch (stop) {
-    case BudgetStop::kPoolBytes:
-      return DegradationReason::kPoolBytes;
-    case BudgetStop::kCancelled:
-      return DegradationReason::kCancelled;
-    case BudgetStop::kDeadline:
-    case BudgetStop::kNone:
-      return DegradationReason::kDeadline;
-  }
-  return DegradationReason::kDeadline;
 }
 
 void FinalizeAdaptiveResult(const ProfitProblem& problem,
@@ -230,6 +170,15 @@ Result<SpeculativeRoundPlanner::RoundStep> SpeculativeRoundPlanner::NextRound(
   // A pool cut short mid-round (hits->theta < theta, possibly 0) is the
   // gate tripping between the check above and the batch finishing.
   return hits->theta == theta ? RoundStep::kSampled : RoundStep::kDegraded;
+}
+
+void SpeculativeRoundPlanner::ExportStats(DecisionLoopTelemetry* result) const {
+  result->speculation_hits = stats_.hits;
+  result->speculation_rounds_served = stats_.rounds_served;
+  result->speculation_misses = stats_.misses;
+  result->speculation_discarded = stats_.discarded;
+  result->speculative_queries = stats_.speculative_queries;
+  result->lookahead_window_trace = window_trace_;
 }
 
 std::optional<SpeculativeRoundPlanner::FirstRoundAnswer>

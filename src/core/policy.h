@@ -54,27 +54,6 @@ enum class DegradationReason : uint8_t {
 /// Stable identifier for logs and telemetry tables ("deadline", ...).
 const char* DegradationReasonName(DegradationReason reason);
 
-struct DegradationEvent;
-
-/// Records one degraded decision in the global observability layer: a
-/// single WARN line (node, reason, rounds completed, achieved θ — so
-/// degraded bench/CI runs are visible without inspecting result structs)
-/// plus atpm_degradation_events_total and the per-reason counter. Policies
-/// call this exactly once per DegradationEvent they record.
-void NoteDegradationEvent(const DegradationEvent& event);
-
-/// Global-registry bumpers for the adaptive decision loops (ADDATP / HATP /
-/// HNTP): one candidate decision concluded / one halving round run. A
-/// relaxed add on the hot path, a single relaxed load when metrics are
-/// disabled.
-void NotePolicyDecision();
-void NotePolicyRound();
-
-/// Maps the BudgetGate stop cause observed at a degraded round to the
-/// reason recorded in telemetry (kNone — which a degraded round should
-/// never report — maps to kDeadline as the conservative default).
-DegradationReason ReasonFromBudgetStop(BudgetStop stop);
-
 /// One decision that concluded with less evidence than requested. The run
 /// never silently weakens: every forced decision is recorded here, and the
 /// run-level achieved_theta / effective_epsilon aggregate the worst case.
@@ -97,7 +76,8 @@ struct DegradationEvent {
 struct AdaptiveStepRecord {
   NodeId node = 0;
   SeedDecision decision = SeedDecision::kAbandoned;
-  /// |A(u_i)|: nodes newly activated if selected, else 0.
+  /// |A(u_i)|: nodes newly activated if selected, else 0 (always 0 for
+  /// HNTP, which observes no activations).
   uint32_t newly_activated = 0;
   /// RR sets generated while deciding this node (0 under the oracle model).
   uint64_t rr_sets_used = 0;
@@ -115,17 +95,12 @@ struct AdaptiveStepRecord {
   bool first_round_speculative = false;
 };
 
-/// Outcome of running an adaptive policy against one environment (i.e., one
-/// ground-truth realization φ).
-struct AdaptiveRunResult {
-  /// Seeds S_φ(π), in selection order.
+/// Telemetry of one run of the double-greedy decision loop (ADDATP, HATP,
+/// HNTP — see core/decision_loop.h); the shared base of AdaptiveRunResult
+/// and HntpResult. Policies that do not sample leave the counters at 0.
+struct DecisionLoopTelemetry {
+  /// Seeds S, in selection order.
   std::vector<NodeId> seeds;
-  /// I_φ(S): total nodes activated.
-  uint32_t realized_spread = 0;
-  /// c(S).
-  double seed_cost = 0.0;
-  /// ρ_φ(S) = I_φ(S) − c(S).
-  double realized_profit = 0.0;
   /// Total RR sets generated across all iterations.
   uint64_t total_rr_sets = 0;
   /// Coverage queries answered across all iterations (2 per sampled halving
@@ -191,6 +166,17 @@ struct AdaptiveRunResult {
   std::vector<AdaptiveStepRecord> steps;
 };
 
+/// Outcome of running an adaptive policy against one environment (i.e., one
+/// ground-truth realization φ); `seeds` is S_φ(π).
+struct AdaptiveRunResult : DecisionLoopTelemetry {
+  /// I_φ(S): total nodes activated.
+  uint32_t realized_spread = 0;
+  /// c(S).
+  double seed_cost = 0.0;
+  /// ρ_φ(S) = I_φ(S) − c(S).
+  double realized_profit = 0.0;
+};
+
 /// Interface of an adaptive seeding policy π: examines the targets of
 /// `problem` in order, interacting with `env` (seed → observe → residual
 /// update). Implementations: AdgPolicy (oracle model), AddAtpPolicy,
@@ -246,7 +232,7 @@ struct FrontRearHits {
 };
 
 /// Running telemetry of the speculative pipelining layer (mirrored into
-/// AdaptiveRunResult / HntpResult after a run).
+/// the DecisionLoopTelemetry after a run).
 struct SpeculationStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -362,17 +348,8 @@ class SpeculativeRoundPlanner {
 
   const SpeculationStats& stats() const { return stats_; }
 
-  /// Copies the telemetry into an AdaptiveRunResult / HntpResult (both
-  /// carry the same speculation_* field names).
-  template <typename ResultT>
-  void ExportStats(ResultT* result) const {
-    result->speculation_hits = stats_.hits;
-    result->speculation_rounds_served = stats_.rounds_served;
-    result->speculation_misses = stats_.misses;
-    result->speculation_discarded = stats_.discarded;
-    result->speculative_queries = stats_.speculative_queries;
-    result->lookahead_window_trace = window_trace_;
-  }
+  /// Copies the speculation_* telemetry and the window trace into `result`.
+  void ExportStats(DecisionLoopTelemetry* result) const;
 
  private:
   struct Entry {

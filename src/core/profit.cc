@@ -1,5 +1,6 @@
 #include "core/profit.h"
 
+#include <cmath>
 #include <string>
 
 #include "common/bit_vector.h"
@@ -22,6 +23,9 @@ Status ProfitProblem::Validate() const {
         ", expected n = " + std::to_string(graph->num_nodes()));
   }
   for (double c : costs) {
+    if (!std::isfinite(c)) {
+      return Status::InvalidArgument("ProfitProblem: non-finite cost");
+    }
     if (c < 0.0) {
       return Status::InvalidArgument("ProfitProblem: negative cost");
     }

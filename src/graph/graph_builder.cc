@@ -8,7 +8,8 @@ namespace atpm {
 Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) {
   NodeId n = min_nodes_;
   for (const WeightedEdge& e : edges_) {
-    if (e.prob < 0.0f || e.prob > 1.0f) {
+    // Written so that NaN fails too.
+    if (!(e.prob >= 0.0f && e.prob <= 1.0f)) {
       return Status::InvalidArgument(
           "edge probability outside [0, 1]: " + std::to_string(e.prob));
     }

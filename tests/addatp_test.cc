@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "graph/generators.h"
@@ -138,6 +140,30 @@ TEST(AddAtpTest, EmptyTargetSetIsNoop) {
   Result<AdaptiveRunResult> run = policy.Run(problem, &env, &rng);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run.value().seeds.empty());
+}
+
+TEST(AddAtpTest, RejectsInvalidErrorConfiguration) {
+  // An invalid knob must come back as InvalidArgument, never reach
+  // AddAtpSampleSize, whose CHECK would abort the process on a NaN.
+  const Graph g = MakePathGraph(3, 0.5);
+  ProfitProblem problem = MakeProblem(g, {0}, {1.0});
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<AddAtpOptions> invalid(6);
+  invalid[0].initial_spread_error = nan;
+  invalid[1].initial_spread_error = inf;
+  invalid[2].initial_spread_error = 0.0;
+  invalid[3].dynamic_epsilon = nan;
+  invalid[4].dynamic_epsilon = -0.1;
+  invalid[5].dynamic_epsilon = 1.0;
+  for (const AddAtpOptions& options : invalid) {
+    AddAtpPolicy policy(options);
+    AdaptiveEnvironment env = MakeEnv(g, 1);
+    Rng rng(2);
+    Result<AdaptiveRunResult> run = policy.Run(problem, &env, &rng);
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsInvalidArgument());
+  }
 }
 
 TEST(AddAtpTest, RejectsMismatchedEnvironment) {

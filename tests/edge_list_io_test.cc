@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -97,6 +98,17 @@ TEST_F(EdgeListIoTest, ProbabilityAboveOneRejected) {
   WriteFile("0 1 1.7\n");
   Result<Graph> g = LoadEdgeList(path_);
   ASSERT_FALSE(g.ok());
+}
+
+TEST_F(EdgeListIoTest, NanProbabilityRejected) {
+  WriteFile("0 1 nan\n");
+  Result<Graph> g = LoadEdgeList(path_);
+  ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().IsInvalidArgument());
+
+  GraphBuilder builder;
+  builder.AddEdge(0, 1, std::nan(""));
+  EXPECT_TRUE(builder.Build().status().IsInvalidArgument());
 }
 
 TEST_F(EdgeListIoTest, SaveLoadRoundTripPreservesGraph) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/addatp.h"
@@ -85,6 +87,26 @@ TEST(HatpTest, RejectsInvalidErrorConfiguration) {
   HatpPolicy policy2(options2);
   AdaptiveEnvironment env2 = MakeEnv(g, 1);
   EXPECT_FALSE(policy2.Run(problem, &env2, &rng).ok());
+
+  // Non-finite errors are rejected up front instead of running with (or
+  // reporting) a NaN guarantee.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<HatpOptions> invalid(7);
+  invalid[0].relative_error_threshold = nan;
+  invalid[1].relative_error_threshold = inf;
+  invalid[2].initial_relative_error = nan;
+  invalid[3].initial_relative_error = inf;
+  invalid[4].initial_spread_error = nan;
+  invalid[5].initial_spread_error = inf;
+  invalid[6].initial_spread_error = 0.0;
+  for (const HatpOptions& bad : invalid) {
+    HatpPolicy bad_policy(bad);
+    AdaptiveEnvironment bad_env = MakeEnv(g, 1);
+    Result<AdaptiveRunResult> run = bad_policy.Run(problem, &bad_env, &rng);
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsInvalidArgument());
+  }
 }
 
 TEST(HatpTest, BorderlineNodeTerminatesViaC2Floors) {

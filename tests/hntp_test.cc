@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "graph/generators.h"
@@ -64,6 +65,20 @@ TEST(HntpTest, ValidatesErrorConfiguration) {
   options.initial_relative_error = 0.01;
   Rng rng(3);
   EXPECT_FALSE(RunHntp(problem, options, &rng).ok());
+
+  const double nan = std::nan("");
+  HatpOptions nan_threshold;
+  nan_threshold.relative_error_threshold = nan;
+  EXPECT_TRUE(
+      RunHntp(problem, nan_threshold, &rng).status().IsInvalidArgument());
+  HatpOptions nan_initial;
+  nan_initial.initial_relative_error = nan;
+  EXPECT_TRUE(
+      RunHntp(problem, nan_initial, &rng).status().IsInvalidArgument());
+  HatpOptions nan_spread;
+  nan_spread.initial_spread_error = nan;
+  EXPECT_TRUE(
+      RunHntp(problem, nan_spread, &rng).status().IsInvalidArgument());
 }
 
 TEST(HntpTest, BudgetFailureMode) {

@@ -201,8 +201,9 @@ TEST(FinalizeAdaptiveResultTest, ComputesIdentities) {
 // ---- Decision-loop goldens: exact fixed-seed outcomes of ADDATP, HATP and
 // HNTP across their option variants, on the golden instance trace_test and
 // failpoint_test pin for default HATP. Every value was recorded before the
-// three policies shared one decision loop; a mismatch is a behaviour
-// change, not a new baseline.
+// three policies shared one decision loop (HNTP's per-step records from
+// that code instrumented to print them); a mismatch is a behaviour change,
+// not a new baseline.
 
 Graph GoldenGraph() {
   Rng rng(7);
@@ -220,10 +221,8 @@ std::string Exact(double x) {
   return buf;
 }
 
-// Run-level telemetry, formatted identically for AdaptiveRunResult and
-// HntpResult (the fields share their names).
-template <typename ResultT>
-std::string RunSummary(const ResultT& r) {
+// Run-level telemetry shared by AdaptiveRunResult and HntpResult.
+std::string RunSummary(const DecisionLoopTelemetry& r) {
   std::string s = "seeds=";
   for (NodeId v : r.seeds) s += std::to_string(v) + ",";
   s += " rr=" + std::to_string(r.total_rr_sets) +
@@ -304,6 +303,14 @@ LoopGoldenRun RunAddAtpGolden(const AddAtpOptions& options, const Graph& g,
   return RunAdaptiveGolden(&policy, g, problem);
 }
 
+LoopGoldenRun RunHntpGolden(const HatpOptions& options,
+                            const ProfitProblem& problem) {
+  Rng rng(1);
+  Result<HntpResult> run = RunHntp(problem, options, &rng);
+  if (!run.ok()) return {run.status().ToString(), ""};
+  return {RunSummary(run.value()), StepsSummary(run.value().steps)};
+}
+
 struct LoopGoldenCase {
   const char* name;
   LoopGoldenRun (*run)(const Graph&, const ProfitProblem&);
@@ -362,15 +369,29 @@ const LoopGoldenCase kLoopGoldens[] = {
      "22:2:0:0:0:0 "},
     {"Hntp",
      [](const Graph&, const ProfitProblem& problem) {
-       Rng rng(1);
-       Result<HntpResult> run = RunHntp(problem, SerialHatp(), &rng);
-       if (!run.ok()) return LoopGoldenRun{run.status().ToString(), ""};
-       return LoopGoldenRun{RunSummary(run.value()), ""};
+       return RunHntpGolden(SerialHatp(), problem);
      },
      "seeds=2,18,9,22, rr=1182856 queries=218 pools=109 "
      "max_iter=128224 exhausted=0 truncated=0 spec=0/0/0/0/0 window= "
      "degraded= eps=0.050000000000000003 additive=1 theta=39094",
-     ""},
+     "2:0:11:103714:22:0 4:1:11:122179:22:0 7:1:11:122179:22:0 "
+     "18:0:11:122179:22:0 13:1:11:127000:22:0 17:1:11:127000:22:0 "
+     "8:1:10:76381:20:0 9:0:11:127000:22:0 41:1:11:127000:22:0 "
+     "22:0:11:128224:22:0 "},
+    {"HntpLookahead4",
+     [](const Graph&, const ProfitProblem& problem) {
+       HatpOptions options = SerialHatp();
+       options.sampling.lookahead_window = 4;
+       return RunHntpGolden(options, problem);
+     },
+     "seeds=2,18,17,9, rr=608117 queries=460 pools=55 max_iter=127000 "
+     "exhausted=0 truncated=0 spec=5/53/5/4/350 "
+     "window=4,4,4,4,4,4,4,4,4,4, degraded= eps=0.050000000000000003 "
+     "additive=1.4142135623730949 theta=39094",
+     "2:0:11:103714:110:0 4:1:11:122179:110:0 7:1:10:0:0:1 "
+     "18:0:11:0:0:1 13:1:11:127000:110:0 17:0:11:0:0:1 "
+     "8:1:10:77605:80:0 9:0:11:50619:6:1 41:1:11:127000:44:0 "
+     "22:1:11:0:0:1 "},
     {"HatpUnbatched",
      [](const Graph& g, const ProfitProblem& problem) {
        HatpOptions options = SerialHatp();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -54,6 +56,15 @@ TEST(ProfitProblemTest, ValidateCatchesNegativeCost) {
   ProfitProblem problem = MakeProblem(g, {0}, 1.0);
   problem.costs[2] = -0.5;
   EXPECT_FALSE(problem.Validate().ok());
+}
+
+TEST(ProfitProblemTest, ValidateCatchesNonFiniteCost) {
+  const Graph g = MakePathGraph(3, 0.5);
+  ProfitProblem problem = MakeProblem(g, {0}, 0.5);
+  problem.costs = {0.5, std::nan(""), 0.5};
+  EXPECT_TRUE(problem.Validate().IsInvalidArgument());
+  problem.costs = {0.5, std::numeric_limits<double>::infinity(), 0.5};
+  EXPECT_TRUE(problem.Validate().IsInvalidArgument());
 }
 
 TEST(ProfitProblemTest, ValidateCatchesOutOfRangeTarget) {
