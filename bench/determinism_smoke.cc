@@ -72,7 +72,6 @@ int main() {
   for (uint32_t threads : {1u, 2u, 4u}) {
     for (uint32_t window : {0u, 4u}) {
       atpm::HatpOptions options;
-      options.sampling.engine = atpm::SamplingBackend::kAuto;
       options.sampling.num_threads = threads;
       options.sampling.lookahead_window = window;
       atpm::HatpPolicy hatp(options);

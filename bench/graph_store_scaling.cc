@@ -76,7 +76,7 @@ struct RrBatchResult {
 RrBatchResult TimeRrBatch(const Graph& g, uint64_t rss_before) {
   RrBatchResult result;
   Rng rng(77);
-  SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade);
   WallTimer timer;
   const RRCollection& pool =
       engine.GeneratePool(nullptr, g.num_nodes(), kRrBatch, &rng);

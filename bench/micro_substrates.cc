@@ -162,8 +162,6 @@ void BM_HandleCountCovering(benchmark::State& state) {
   for (NodeId v = 100; v < 200; ++v) base.Set(v);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SamplingEngineOptions options;
-  options.backend =
-      threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   SamplingEngineHandle handle;
   uint64_t salt = 1;
@@ -178,15 +176,13 @@ void BM_HandleCountCovering(benchmark::State& state) {
 BENCHMARK(BM_HandleCountCovering)->Arg(1)->Arg(4)->Arg(8);
 
 // Sampler-scaling series: the two SamplingEngine operations across thread
-// counts, sized so the parallel backend is actually engaged. The acceptance
+// counts, sized so the worker pool is actually engaged. The acceptance
 // bar for the engine layer is count-path throughput at 4 threads >= 2x the
 // 1-thread run of the same benchmark.
 void BM_SamplingEngineCountScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SamplingEngineOptions options;
-  options.backend =
-      threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(
       g, DiffusionModel::kIndependentCascade, options);
@@ -213,8 +209,6 @@ void BM_SamplingEngineBatchCountScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SamplingEngineOptions options;
-  options.backend =
-      threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(
       g, DiffusionModel::kIndependentCascade, options);
@@ -297,8 +291,6 @@ void BM_SamplingEnginePoolScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SamplingEngineOptions options;
-  options.backend =
-      threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(
       g, DiffusionModel::kIndependentCascade, options);
@@ -378,8 +370,7 @@ void BM_KernelCountCovering(benchmark::State& state) {
   const SamplingKernel kernel = state.range(1) == 0
                                     ? SamplingKernel::kPerEdge
                                     : SamplingKernel::kGeometricJump;
-  SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
-                              kernel);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 1, kernel);
   BitVector base(g.num_nodes());
   for (NodeId v = 100; v < 200; ++v) base.Set(v);
   Rng rng(23);
@@ -493,7 +484,7 @@ void BM_ObservabilityOverhead(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   obs::SetMetricsEnabled(enabled);
   obs::SetTraceEnabled(enabled);
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   Rng rng(61);
   const uint64_t count = 1 << 13;
   for (auto _ : state) {

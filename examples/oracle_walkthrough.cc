@@ -76,7 +76,7 @@ int main() {
   // Cross-check the exact oracle against the sampling substrate the big
   // algorithms run on: a RisSpreadOracle estimates the same E[I(T)] from
   // RR sets drawn through a SamplingEngine.
-  atpm::SerialSamplingEngine engine(g);
+  atpm::RRSamplingEngine engine(g);
   atpm::RisOracleOptions ris_options;
   ris_options.num_rr_sets = 1u << 16;
   atpm::RisSpreadOracle ris_oracle(&engine, ris_options);

@@ -16,7 +16,7 @@ struct AddAtpOptions {
   /// ζ_0 is derived per iteration as initial_spread_error / n_i, clamped to
   /// (1/n_i, 1/2].
   double initial_spread_error = 64.0;
-  /// Shared sampling knobs: backend, threads, the per-decision RR budget,
+  /// Shared sampling knobs: threads, the per-decision RR budget,
   /// and round batching. ADDATP's additive-only error needs Θ(n_i² log n)
   /// samples for borderline nodes, which is exactly why the paper's ADDATP
   /// runs out of memory beyond NetHEPT; the budget cap makes that failure
@@ -57,7 +57,7 @@ class AddAtpPolicy final : public AdaptivePolicy {
   std::string_view name() const override { return "ADDATP"; }
 
   /// Samples through `engine` (not owned; must be bound to the run's graph
-  /// and options.model) instead of the policy's own backend. Pass nullptr
+  /// and options.model) instead of the policy's own engine. Pass nullptr
   /// to revert.
   void set_engine(SamplingEngine* engine) override { engine_.Use(engine); }
 

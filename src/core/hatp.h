@@ -20,7 +20,7 @@ struct HatpOptions {
   double relative_error_threshold = 0.05;
   /// Initial additive spread error n_i * ζ_0.
   double initial_spread_error = 64.0;
-  /// Shared sampling knobs: backend, threads, the per-decision RR budget,
+  /// Shared sampling knobs: threads, the per-decision RR budget,
   /// and round batching (one shared pool per halving round vs the literal
   /// two pools of Algorithm 4).
   SamplingOptions sampling;
@@ -51,7 +51,7 @@ class HatpPolicy final : public AdaptivePolicy {
   std::string_view name() const override { return "HATP"; }
 
   /// Samples through `engine` (not owned; must be bound to the run's graph
-  /// and options.model) instead of the policy's own backend — lets several
+  /// and options.model) instead of the policy's own engine — lets several
   /// policies share one warm worker pool. Pass nullptr to revert.
   void set_engine(SamplingEngine* engine) override { engine_.Use(engine); }
 

@@ -29,8 +29,8 @@ struct HntpResult : DecisionLoopTelemetry {};
 ///
 /// Reuses HatpOptions; n_i = n throughout. The engine overload samples
 /// through `engine` (must be bound to problem.graph and options.model);
-/// the three-argument form, or a null `engine`, builds the backend selected
-/// by options.sampling internally.
+/// the three-argument form, or a null `engine`, builds the engine that
+/// options.sampling describes internally.
 Result<HntpResult> RunHntp(const ProfitProblem& problem,
                            const HatpOptions& options, Rng* rng);
 Result<HntpResult> RunHntp(const ProfitProblem& problem,

@@ -45,7 +45,7 @@ Status ValidateFixedSample(const ProfitProblem& problem,
 Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
                                  uint64_t num_rr_sets, Rng* rng) {
   ATPM_RETURN_NOT_OK(problem.Validate());
-  SerialSamplingEngine engine(*problem.graph);
+  RRSamplingEngine engine(*problem.graph);
   return RunNsg(problem, num_rr_sets, rng, &engine);
 }
 
@@ -115,7 +115,7 @@ Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
 Result<NonadaptiveResult> RunNdg(const ProfitProblem& problem,
                                  uint64_t num_rr_sets, Rng* rng) {
   ATPM_RETURN_NOT_OK(problem.Validate());
-  SerialSamplingEngine engine(*problem.graph);
+  RRSamplingEngine engine(*problem.graph);
   return RunNdg(problem, num_rr_sets, rng, &engine);
 }
 

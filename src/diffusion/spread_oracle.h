@@ -140,9 +140,9 @@ struct RisOracleOptions {
 /// Expected-spread estimator on the RIS identity: E[I_{G_i}(S)] ≈
 /// n_i / θ · Cov_R(S) over a fresh pool of θ RR sets drawn through a
 /// SamplingEngine. Unlike the Monte Carlo oracle this scales to large
-/// graphs (cost is per-pool, not per-seed-set traversal) and runs on
-/// whichever backend the engine was built with; the engine also fixes the
-/// diffusion model. Marginal queries go through the batched coverage-query
+/// graphs (cost is per-pool, not per-seed-set traversal) and runs at
+/// whatever thread count the engine was built with; the engine also fixes
+/// the diffusion model. Marginal queries go through the batched coverage-query
 /// layer: E[I(base u {u})] − E[I(base)] = n_i/θ · Cov_R(u | base), so one
 /// pool answers a whole candidate sweep (with the two terms paired on the
 /// same samples — the variance-reduction the base-class contract allows).

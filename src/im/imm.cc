@@ -14,12 +14,9 @@ namespace atpm {
 
 Result<ImmResult> RunImm(const Graph& graph, uint32_t k,
                          const ImmOptions& options) {
-  SamplingEngineOptions engine_options;
-  engine_options.backend = options.engine;
-  engine_options.num_threads = options.num_threads;
-  engine_options.kernel = options.kernel;
-  std::unique_ptr<SamplingEngine> engine = CreateSamplingEngine(
-      graph, DiffusionModel::kIndependentCascade, engine_options);
+  std::unique_ptr<SamplingEngine> engine =
+      CreateSamplingEngine(graph, DiffusionModel::kIndependentCascade,
+                           {options.num_threads, options.kernel});
   return RunImm(graph, k, options, engine.get());
 }
 
@@ -31,8 +28,13 @@ Result<ImmResult> RunImm(const Graph& graph, uint32_t k,
     return Status::InvalidArgument("IMM: k must be in [1, n], got " +
                                    std::to_string(k));
   }
-  if (options.epsilon <= 0.0 || options.epsilon >= 1.0) {
+  // Written to fail on NaN: a NaN here would reach the uint64_t cast of
+  // the sample size, which is undefined behaviour.
+  if (!(options.epsilon > 0.0 && options.epsilon < 1.0)) {
     return Status::InvalidArgument("IMM: epsilon must be in (0, 1)");
+  }
+  if (!(std::isfinite(options.ell) && options.ell > 0.0)) {
+    return Status::InvalidArgument("IMM: ell must be finite and > 0");
   }
   if (&engine->graph() != &graph) {
     return Status::InvalidArgument(

@@ -27,8 +27,8 @@ class RRCollection {
   void AddSet(std::span<const NodeId> nodes);
 
   /// Bulk-appends `set_sizes.size()` RR sets whose node lists are
-  /// concatenated in `nodes` (shard layout of the parallel sampling
-  /// engine). The merge is one splice of the flat node buffer plus an
+  /// concatenated in `nodes` (shard layout of the sampling engine's
+  /// workers). The merge is one splice of the flat node buffer plus an
   /// offset rebase — the sets are never re-walked, so sharded generation
   /// lands in the CSR layout without a second pass.
   void AppendShard(std::span<const NodeId> nodes,

@@ -11,7 +11,7 @@ namespace atpm {
 
 namespace {
 
-/// Global-registry instruments shared by both backends. Registered once on
+/// Global-registry instruments shared by every engine. Registered once on
 /// first use; every hot-path touch is a relaxed add (or a single relaxed
 /// load when metrics are disabled).
 struct EngineMetrics {
@@ -77,8 +77,37 @@ Status ExceptionToStatus(const char* where, std::exception_ptr error) {
 
 }  // namespace
 
-void SamplingEngine::AccrueGeneration(uint64_t sets, uint64_t edges,
-                                      uint64_t draws) {
+RRSamplingEngine::RRSamplingEngine(const Graph& graph, DiffusionModel model,
+                                   uint32_t num_threads,
+                                   SamplingKernel kernel)
+    : model_(model),
+      generator_(graph, model, kernel),
+      pool_(graph.num_nodes()) {
+  if (num_threads == 0) {
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  if (num_threads == 1) return;
+  workers_.resize(num_threads);
+  for (Worker& worker : workers_) {
+    worker.generator = std::make_unique<RRSetGenerator>(graph, model, kernel);
+  }
+  threads_.reserve(num_threads);
+  for (uint32_t w = 0; w < num_threads; ++w) {
+    threads_.emplace_back([this, w]() { WorkerLoop(w); });
+  }
+}
+
+RRSamplingEngine::~RRSamplingEngine() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
+  job_cv_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+}
+
+void RRSamplingEngine::AccrueGeneration(uint64_t sets, uint64_t edges,
+                                        uint64_t draws) {
   stats_.rr_sets_generated += sets;
   stats_.edges_examined += edges;
   stats_.rng_draws += draws;
@@ -89,49 +118,62 @@ void SamplingEngine::AccrueGeneration(uint64_t sets, uint64_t edges,
   if (sets > 0) metrics.batch_sets->Observe(static_cast<double>(sets));
 }
 
-void SamplingEngine::AccrueCounting(uint64_t pools, uint64_t queries) {
-  stats_.count_pools += pools;
-  stats_.coverage_queries += queries;
-  const EngineMetrics& metrics = EngineMetrics::Get();
-  metrics.count_pools->Increment(pools);
-  metrics.coverage_queries->Increment(queries);
+uint64_t RRSamplingEngine::TotalDraws() const {
+  uint64_t draws = generator_.rng_draws();
+  for (const Worker& worker : workers_) draws += worker.generator->rng_draws();
+  return draws;
 }
 
-const char* SamplingBackendName(SamplingBackend backend) {
-  switch (backend) {
-    case SamplingBackend::kSerial:
-      return "serial";
-    case SamplingBackend::kParallel:
-      return "parallel";
-    case SamplingBackend::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-// ------------------------------------------------------------------ serial
-
-SerialSamplingEngine::SerialSamplingEngine(const Graph& graph,
-                                           DiffusionModel model,
-                                           SamplingKernel kernel)
-    : model_(model),
-      generator_(graph, model, kernel),
-      pool_(graph.num_nodes()) {}
-
-Status SerialSamplingEngine::TryGeneratePool(const BitVector* removed,
-                                             uint32_t num_alive,
-                                             uint64_t count, Rng* rng) {
-  ATPM_FAILPOINT("engine.serial_batch");
+Status RRSamplingEngine::TryGeneratePool(const BitVector* removed,
+                                         uint32_t num_alive, uint64_t count,
+                                         Rng* rng) {
   obs::TraceSpan span("pool_fill");
   span.AnnotateU64("count", count);
   obs::ScopedLatency latency(EngineMetrics::Get().pool_fill_seconds);
+  // One thread samples straight from the caller's stream (the reference
+  // path). More threads take one draw from it, independent of the worker
+  // count, and derive every stream of the query from that base seed.
+  if (workers_.empty()) return GenerateInline(removed, num_alive, count, rng);
+  const uint64_t base_seed = rng->Next();
+  if (count >= kMinParallelBatch) {
+    return GenerateOnWorkers(removed, num_alive, count, base_seed);
+  }
+  Rng local(base_seed);
+  return GenerateInline(removed, num_alive, count, &local);
+}
+
+Result<uint64_t> RRSamplingEngine::TryCountCoverageBatchSeeded(
+    CoverageQueryBatch* batch, const BitVector* removed, uint32_t num_alive,
+    uint64_t theta, uint64_t seed) {
+  if (batch->empty()) return uint64_t{0};
+  obs::TraceSpan span("count_batch");
+  span.AnnotateU64("theta", theta);
+  span.AnnotateU64("queries", batch->size());
+  obs::ScopedLatency latency(EngineMetrics::Get().count_batch_seconds);
+  Result<uint64_t> sampled =
+      workers_.empty() || theta < kMinParallelBatch
+          ? CountInline(batch, removed, num_alive, theta, seed)
+          : CountOnWorkers(batch, removed, num_alive, theta, seed);
+  if (sampled.ok()) {
+    stats_.count_pools += 1;
+    stats_.coverage_queries += batch->size();
+    EngineMetrics::Get().count_pools->Increment(1);
+    EngineMetrics::Get().coverage_queries->Increment(batch->size());
+  }
+  return sampled;
+}
+
+Status RRSamplingEngine::GenerateInline(const BitVector* removed,
+                                        uint32_t num_alive, uint64_t count,
+                                        Rng* rng) {
+  ATPM_FAILPOINT("engine.serial_batch");
   // Batched block generation straight into the shard layout: one splice
   // into the pool CSR instead of a staging copy per set, and one shared
   // alive-list build per block. Bit-identical sets to the historical
   // Generate + AddSet loop on the same stream.
   shard_nodes_.clear();
   shard_sizes_.clear();
-  const uint64_t draws_before = generator_.rng_draws();
+  const uint64_t draws_before = TotalDraws();
   Status status = Status::OK();
   uint64_t edges = 0;
   try {
@@ -141,30 +183,23 @@ Status SerialSamplingEngine::TryGeneratePool(const BitVector* removed,
     ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_append");
     pool_.AppendShard(shard_nodes_, shard_sizes_);
   } catch (...) {
-    // A bad_alloc mid-batch leaves the staging shard partially grown (it
-    // is cleared on the next call) and the pool untouched; the draws the
-    // generator consumed are still accounted.
-    status = ExceptionToStatus("serial pool generation",
-                               std::current_exception());
+    // The pool is untouched, so nothing but the draws accrues.
+    status = ExceptionToStatus("pool generation", std::current_exception());
+    shard_sizes_.clear();
+    edges = 0;
   }
-  edges_examined_ += status.ok() ? edges : 0;
-  AccrueGeneration(status.ok() ? shard_sizes_.size() : 0,
-                   status.ok() ? edges : 0,
-                   generator_.rng_draws() - draws_before);
+  edges_examined_ += edges;
+  AccrueGeneration(shard_sizes_.size(), edges, TotalDraws() - draws_before);
   return status;
 }
 
-Result<uint64_t> SerialSamplingEngine::TryCountCoverageBatchSeeded(
-    CoverageQueryBatch* batch, const BitVector* removed, uint32_t num_alive,
-    uint64_t theta, uint64_t seed) {
-  if (batch->empty()) return uint64_t{0};
+Result<uint64_t> RRSamplingEngine::CountInline(CoverageQueryBatch* batch,
+                                               const BitVector* removed,
+                                               uint32_t num_alive,
+                                               uint64_t theta, uint64_t seed) {
   ATPM_FAILPOINT("engine.serial_batch");
-  obs::TraceSpan span("count_batch");
-  span.AnnotateU64("theta", theta);
-  span.AnnotateU64("queries", batch->size());
-  obs::ScopedLatency latency(EngineMetrics::Get().count_batch_seconds);
   Rng rng(seed);
-  const uint64_t draws_before = generator_.rng_draws();
+  const uint64_t draws_before = TotalDraws();
   uint64_t sampled = theta;
   uint64_t edges = 0;
   try {
@@ -176,55 +211,14 @@ Result<uint64_t> SerialSamplingEngine::TryCountCoverageBatchSeeded(
                                           batch->queries(), batch->hit_data(),
                                           &rng, budget_, &sampled);
   } catch (...) {
-    AccrueGeneration(0, 0, generator_.rng_draws() - draws_before);
-    return ExceptionToStatus("serial coverage counting",
-                             std::current_exception());
+    AccrueGeneration(0, 0, TotalDraws() - draws_before);
+    return ExceptionToStatus("coverage counting", std::current_exception());
   }
-  AccrueGeneration(sampled, edges, generator_.rng_draws() - draws_before);
-  AccrueCounting(1, batch->size());
+  AccrueGeneration(sampled, edges, TotalDraws() - draws_before);
   return sampled;
 }
 
-void SerialSamplingEngine::ResetPool() {
-  pool_.Clear();
-  edges_examined_ = 0;
-}
-
-// ---------------------------------------------------------------- parallel
-
-ParallelSamplingEngine::ParallelSamplingEngine(const Graph& graph,
-                                               DiffusionModel model,
-                                               uint32_t num_threads,
-                                               uint64_t min_parallel_batch,
-                                               SamplingKernel kernel)
-    : graph_(&graph),
-      model_(model),
-      min_parallel_batch_(min_parallel_batch),
-      pool_(graph.num_nodes()),
-      inline_generator_(graph, model, kernel) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.resize(num_threads);
-  for (Worker& worker : workers_) {
-    worker.generator = std::make_unique<RRSetGenerator>(graph, model, kernel);
-  }
-  threads_.reserve(num_threads);
-  for (uint32_t w = 0; w < num_threads; ++w) {
-    threads_.emplace_back([this, w]() { WorkerLoop(w); });
-  }
-}
-
-ParallelSamplingEngine::~ParallelSamplingEngine() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  job_cv_.notify_all();
-  for (std::thread& thread : threads_) thread.join();
-}
-
-void ParallelSamplingEngine::WorkerLoop(uint32_t index) {
+void RRSamplingEngine::WorkerLoop(uint32_t index) {
   uint64_t seen_epoch = 0;
   for (;;) {
     const std::function<void(uint32_t)>* job = nullptr;
@@ -237,10 +231,10 @@ void ParallelSamplingEngine::WorkerLoop(uint32_t index) {
       seen_epoch = job_epoch_;
       job = job_;
     }
-    // Containment: an exception escaping a job body used to ripple into
-    // std::terminate (nothing above this frame catches). Capture it so
-    // RunOnPool can translate it into a Status after the barrier; the
-    // worker stays alive and the pool stays usable.
+    // Containment: nothing above this frame catches, so an escaping
+    // exception would std::terminate. Capture it so RunOnPool can
+    // translate it into a Status after the barrier; the worker stays alive
+    // and the pool stays usable.
     try {
       (*job)(index);
     } catch (...) {
@@ -253,7 +247,7 @@ void ParallelSamplingEngine::WorkerLoop(uint32_t index) {
   }
 }
 
-Status ParallelSamplingEngine::RunOnPool(
+Status RRSamplingEngine::RunOnPool(
     const std::function<void(uint32_t)>& body) {
   for (Worker& worker : workers_) worker.error = nullptr;
   {
@@ -268,159 +262,77 @@ Status ParallelSamplingEngine::RunOnPool(
     done_cv_.wait(lock, [&]() { return pending_ == 0; });
     job_ = nullptr;
   }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].error != nullptr) {
+  for (Worker& worker : workers_) {
+    if (worker.error != nullptr) {
       // First failed worker in index order: deterministic for a fixed
       // fault schedule even when several workers fail at once.
-      return ExceptionToStatus("parallel sampling worker",
-                               std::move(workers_[w].error));
+      return ExceptionToStatus("sampling worker", std::move(worker.error));
     }
   }
   return Status::OK();
 }
 
-void ParallelSamplingEngine::AssignQuotas(uint64_t total) {
-  const uint64_t num_workers = workers_.size();
-  const uint64_t chunk = total / num_workers;
-  const uint64_t remainder = total % num_workers;
-  for (uint64_t w = 0; w < num_workers; ++w) {
-    workers_[w].quota = chunk + (w < remainder ? 1 : 0);
-  }
-}
-
-Status ParallelSamplingEngine::TryGeneratePool(const BitVector* removed,
-                                               uint32_t num_alive,
-                                               uint64_t count, Rng* rng) {
-  obs::TraceSpan span("pool_fill");
-  span.AnnotateU64("count", count);
-  obs::ScopedLatency latency(EngineMetrics::Get().pool_fill_seconds);
-  // One draw from the caller's stream per query, independent of the worker
-  // count; the fan-out is derived from it via SplitSeed.
-  const uint64_t base_seed = rng->Next();
-  if (workers_.size() <= 1 || count < min_parallel_batch_) {
-    ATPM_FAILPOINT("engine.serial_batch");
-    Rng local(base_seed);
-    shard_nodes_.clear();
-    shard_sizes_.clear();
-    const uint64_t draws_before = inline_generator_.rng_draws();
-    Status status = Status::OK();
-    uint64_t edges = 0;
-    try {
-      ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
-      edges = inline_generator_.GenerateBatch(removed, num_alive, count,
-                                              &local, &shard_nodes_,
-                                              &shard_sizes_, budget_);
-      ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_append");
-      pool_.AppendShard(shard_nodes_, shard_sizes_);
-    } catch (...) {
-      status = ExceptionToStatus("inline pool generation",
-                                 std::current_exception());
-    }
-    edges_examined_ += status.ok() ? edges : 0;
-    AccrueGeneration(status.ok() ? shard_sizes_.size() : 0,
-                     status.ok() ? edges : 0,
-                     inline_generator_.rng_draws() - draws_before);
-    return status;
-  }
-
-  AssignQuotas(count);
-  const Status pool_status = RunOnPool([&](uint32_t w) {
+Status RRSamplingEngine::GenerateOnWorkers(const BitVector* removed,
+                                           uint32_t num_alive, uint64_t count,
+                                           uint64_t base_seed) {
+  const uint64_t draws_before = TotalDraws();
+  Status status = RunOnPool([&](uint32_t w) {
     Worker& worker = workers_[w];
     worker.shard_nodes.clear();
     worker.shard_sizes.clear();
-    worker.edges_result = 0;
-    const uint64_t draws_before = worker.generator->rng_draws();
     Rng local(SplitSeed(base_seed, w));
     ATPM_FAILPOINT_MAYBE_THROW("engine.parallel_worker");
     ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
     worker.edges_result =
-        worker.generator->GenerateBatch(removed, num_alive, worker.quota,
+        worker.generator->GenerateBatch(removed, num_alive, Quota(count, w),
                                         &local, &worker.shard_nodes,
                                         &worker.shard_sizes, budget_);
-    worker.draws_result = worker.generator->rng_draws() - draws_before;
   });
-  if (!pool_status.ok()) return pool_status;
-
   // Merge in worker order: deterministic layout, and the EPT accounting
-  // (total edges examined) aggregates exactly as in a serial run.
-  Status merge_status = Status::OK();
+  // (total edges examined) aggregates exactly as in a one-thread run.
+  // Shards merged before a failed append stay in the pool (they are whole
+  // RR sets) and are exactly what the stats count.
   uint64_t edges = 0;
   uint64_t generated = 0;
-  uint64_t draws = 0;
   for (Worker& worker : workers_) {
-    draws += worker.draws_result;
-    if (!merge_status.ok()) continue;
+    if (!status.ok()) break;
     try {
       ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_append");
       pool_.AppendShard(worker.shard_nodes, worker.shard_sizes);
+      edges += worker.edges_result;
+      generated += worker.shard_sizes.size();
     } catch (...) {
-      // Shards merged before the failure stay in the pool (they are whole
-      // RR sets); the stats below count exactly those. Draws accrue for
-      // every worker regardless — they were consumed either way.
-      merge_status = ExceptionToStatus("pool shard merge",
-                                       std::current_exception());
-      continue;
+      status = ExceptionToStatus("pool shard merge", std::current_exception());
     }
-    edges += worker.edges_result;
-    generated += worker.shard_sizes.size();
   }
   edges_examined_ += edges;
-  AccrueGeneration(generated, edges, draws);
-  return merge_status;
+  AccrueGeneration(generated, edges, TotalDraws() - draws_before);
+  return status;
 }
 
-Result<uint64_t> ParallelSamplingEngine::TryCountCoverageBatchSeeded(
-    CoverageQueryBatch* batch, const BitVector* removed, uint32_t num_alive,
-    uint64_t theta, uint64_t seed) {
+Result<uint64_t> RRSamplingEngine::CountOnWorkers(CoverageQueryBatch* batch,
+                                                  const BitVector* removed,
+                                                  uint32_t num_alive,
+                                                  uint64_t theta,
+                                                  uint64_t seed) {
   const size_t num_queries = batch->size();
-  if (num_queries == 0) return uint64_t{0};
-  obs::TraceSpan span("count_batch");
-  span.AnnotateU64("theta", theta);
-  span.AnnotateU64("queries", num_queries);
-  obs::ScopedLatency latency(EngineMetrics::Get().count_batch_seconds);
-  // Counting accounting accrues up front on this backend (the historical
-  // shape — a failed fan-out still consumed the pool attempt).
-  AccrueCounting(1, num_queries);
-
-  if (workers_.size() <= 1 || theta < min_parallel_batch_) {
-    ATPM_FAILPOINT("engine.serial_batch");
-    Rng rng(seed);
-    const uint64_t draws_before = inline_generator_.rng_draws();
-    uint64_t sampled = theta;
-    uint64_t edges = 0;
-    try {
-      // See the serial engine: counting scratch growth shares the alloc
-      // failpoint so injected bad_alloc reaches the degrade path.
-      ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
-      edges = inline_generator_.CountCoveringBatch(
-          removed, num_alive, theta, batch->queries(), batch->hit_data(),
-          &rng, budget_, &sampled);
-    } catch (...) {
-      AccrueGeneration(0, 0, inline_generator_.rng_draws() - draws_before);
-      return ExceptionToStatus("inline coverage counting",
-                               std::current_exception());
-    }
-    AccrueGeneration(sampled, edges,
-                     inline_generator_.rng_draws() - draws_before);
-    return sampled;
-  }
-
-  AssignQuotas(theta);
+  const uint64_t draws_before = TotalDraws();
   const Status pool_status = RunOnPool([&](uint32_t w) {
     Worker& worker = workers_[w];
     // Size-only adjustment: CountCoveringBatch zeroes the counters itself,
-    // so re-zeroing here (the old `assign`) would touch every entry twice.
+    // so re-zeroing here would touch every entry twice.
     worker.hit_shard.resize(num_queries);
     worker.sampled_result = 0;
-    const uint64_t draws_before = worker.generator->rng_draws();
     Rng local(SplitSeed(seed, w));
     ATPM_FAILPOINT_MAYBE_THROW("engine.parallel_worker");
     worker.edges_result = worker.generator->CountCoveringBatch(
-        removed, num_alive, worker.quota, batch->queries(),
+        removed, num_alive, Quota(theta, w), batch->queries(),
         worker.hit_shard.data(), &local, budget_, &worker.sampled_result);
-    worker.draws_result = worker.generator->rng_draws() - draws_before;
   });
-  if (!pool_status.ok()) return pool_status;
+  if (!pool_status.ok()) {
+    AccrueGeneration(0, 0, TotalDraws() - draws_before);
+    return pool_status;
+  }
 
   // Deterministic merge: per-worker counter shards summed in worker order.
   // Under a tripped budget each worker's hits are exact over its own
@@ -428,49 +340,27 @@ Result<uint64_t> ParallelSamplingEngine::TryCountCoverageBatchSeeded(
   // count — the honest θ the caller scales by.
   uint64_t sampled = 0;
   uint64_t edges = 0;
-  uint64_t draws = 0;
   batch->ZeroHits();
   uint64_t* hits = batch->hit_data();
   for (const Worker& worker : workers_) {
     for (size_t q = 0; q < num_queries; ++q) hits[q] += worker.hit_shard[q];
     edges += worker.edges_result;
-    draws += worker.draws_result;
     sampled += worker.sampled_result;
   }
-  AccrueGeneration(sampled, edges, draws);
+  AccrueGeneration(sampled, edges, TotalDraws() - draws_before);
   return sampled;
 }
 
-void ParallelSamplingEngine::ResetPool() {
+void RRSamplingEngine::ResetPool() {
   pool_.Clear();
   edges_examined_ = 0;
 }
 
-// ----------------------------------------------------------------- factory
-
 std::unique_ptr<SamplingEngine> CreateSamplingEngine(
     const Graph& graph, DiffusionModel model,
     const SamplingEngineOptions& options) {
-  uint32_t threads = options.num_threads == 0
-                         ? std::max(1u, std::thread::hardware_concurrency())
-                         : options.num_threads;
-  SamplingBackend backend = options.backend;
-  if (backend == SamplingBackend::kAuto) {
-    backend =
-        threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
-  }
-  // An explicit kParallel request with one resolved thread degrades to the
-  // serial backend: every query would take the one-worker inline path (which
-  // is bit-identical to serial for the counting kernels), so building the
-  // worker-thread + condvar machinery buys nothing.
-  if (backend == SamplingBackend::kParallel && threads <= 1) {
-    backend = SamplingBackend::kSerial;
-  }
-  if (backend == SamplingBackend::kParallel) {
-    return std::make_unique<ParallelSamplingEngine>(
-        graph, model, threads, options.min_parallel_batch, options.kernel);
-  }
-  return std::make_unique<SerialSamplingEngine>(graph, model, options.kernel);
+  return std::make_unique<RRSamplingEngine>(graph, model, options.num_threads,
+                                            options.kernel);
 }
 
 SamplingEngine* SamplingEngineHandle::Get(const Graph& graph,
@@ -487,9 +377,7 @@ SamplingEngine* SamplingEngineHandle::Get(const Graph& graph,
       owned_->graph().num_nodes() == graph.num_nodes() &&
       owned_->graph().num_edges() == graph.num_edges() &&
       owned_->model() == model &&
-      owned_options_.backend == options.backend &&
       owned_options_.num_threads == options.num_threads &&
-      owned_options_.min_parallel_batch == options.min_parallel_batch &&
       owned_options_.kernel == options.kernel;
   if (!reusable) {
     owned_ = CreateSamplingEngine(graph, model, options);

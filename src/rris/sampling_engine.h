@@ -26,28 +26,15 @@
 
 namespace atpm {
 
-/// Which RR-set sampling backend a policy should use.
-enum class SamplingBackend {
-  /// Single-threaded; bit-identical to driving an RRSetGenerator directly.
-  kSerial,
-  /// Persistent worker pool with deterministic per-thread RNG streams.
-  kParallel,
-  /// kParallel when the resolved thread count exceeds 1, else kSerial.
-  kAuto,
-};
+/// Queries smaller than this run on the calling thread even on a
+/// multi-threaded engine: fan-out overhead dominates tiny jobs, and the
+/// adaptive policies issue plenty of them early in the error schedule.
+inline constexpr uint64_t kMinParallelBatch = 4096;
 
-/// Human-readable backend name ("serial" / "parallel" / "auto").
-const char* SamplingBackendName(SamplingBackend backend);
-
-/// Backend selection knobs, threaded through policy options.
+/// Engine construction knobs, threaded through policy options.
 struct SamplingEngineOptions {
-  SamplingBackend backend = SamplingBackend::kAuto;
-  /// Worker threads for the parallel backend; 0 = hardware concurrency.
+  /// Sampling threads; 0 = hardware concurrency.
   uint32_t num_threads = 1;
-  /// Batches below this size run on the calling thread even under the
-  /// parallel backend — fan-out overhead dominates tiny jobs, and the
-  /// adaptive policies issue plenty of them early in the error schedule.
-  uint64_t min_parallel_batch = 4096;
   /// RR-generation kernel of every generator the engine owns (see
   /// SamplingKernel in graph/graph.h): geometric jumps where the weight
   /// classes allow by default, kPerEdge for bit-compat reruns.
@@ -58,13 +45,10 @@ struct SamplingEngineOptions {
 /// HNTP). Policy option structs embed one of these instead of copy-pasting
 /// the fields.
 struct SamplingOptions {
-  /// RR sampling backend. kAuto engages the persistent thread pool iff
-  /// num_threads > 1; kSerial reproduces the single-threaded code path bit
-  /// for bit for a fixed seed.
-  SamplingBackend engine = SamplingBackend::kAuto;
-  /// Worker threads for the parallel backend (0 = hardware concurrency).
-  /// Results are deterministic for a fixed (seed, num_threads) pair but
-  /// differ across thread counts.
+  /// Sampling threads (0 = hardware concurrency). One thread reproduces
+  /// the single-threaded code path bit for bit for a fixed seed; results
+  /// are deterministic for a fixed (seed, num_threads) pair but differ
+  /// across thread counts.
   uint32_t num_threads = 1;
   /// Budget cap on RR sets generated for a single seed decision (all pools
   /// and all halving rounds combined).
@@ -117,11 +101,7 @@ struct SamplingOptions {
 
   /// Engine-construction view of these knobs.
   SamplingEngineOptions EngineOptions() const {
-    SamplingEngineOptions engine_options;
-    engine_options.backend = engine;
-    engine_options.num_threads = num_threads;
-    engine_options.kernel = kernel;
-    return engine_options;
+    return SamplingEngineOptions{num_threads, kernel};
   }
 };
 
@@ -143,10 +123,15 @@ struct SamplingOptions {
 ///
 /// Engines are bound to one (graph, diffusion model) pair and are *not*
 /// re-entrant: one query runs at a time. Randomness is always drawn from
-/// the caller's Rng, so runs remain reproducible; the parallel backend
-/// consumes exactly one 64-bit draw per query and splits it into
-/// per-worker streams (SplitSeed), making results deterministic for a
-/// fixed (caller stream, thread count) pair.
+/// the caller's Rng, so runs remain reproducible for a fixed (caller
+/// stream, thread count) pair. How far a query advances the caller's Rng:
+///
+///  * a count query: exactly one 64-bit draw, at any thread count (the
+///    draw seeds the query; see TryCountCoverageBatchSeeded);
+///  * a pool fill on a one-thread engine: by every draw the generator
+///    makes, because it samples straight from the caller's stream;
+///  * a pool fill on a multi-threaded engine: exactly one draw, the base
+///    seed of the query's own streams.
 class SamplingEngine {
  public:
   virtual ~SamplingEngine() = default;
@@ -197,11 +182,11 @@ class SamplingEngine {
     CountCoverageBatchSeeded(batch, removed, num_alive, theta, rng->Next());
   }
 
-  /// Seed-level variant of TryCountCoverageBatch: the serial backend
-  /// counts with the stream Rng(seed); the parallel backend gives worker w
-  /// the stream Rng(SplitSeed(seed, w)) and a private counter shard,
-  /// merged deterministically in worker order. Returns the sets actually
-  /// drawn (see TryCountCoverageBatch).
+  /// Seed-level variant of TryCountCoverageBatch: below kMinParallelBatch
+  /// (and always on one thread) the engine counts inline with the stream
+  /// Rng(seed); above it worker w counts its share with the stream
+  /// Rng(SplitSeed(seed, w)) into a private counter shard, merged in worker
+  /// order. Returns the sets actually drawn (see TryCountCoverageBatch).
   virtual Result<uint64_t> TryCountCoverageBatchSeeded(
       CoverageQueryBatch* batch, const BitVector* removed,
       uint32_t num_alive, uint64_t theta, uint64_t seed) = 0;
@@ -271,20 +256,12 @@ class SamplingEngine {
   virtual DiffusionModel model() const = 0;
   /// The RR-generation kernel of the engine's generators.
   virtual SamplingKernel kernel() const = 0;
-  /// Worker count (1 for the serial backend).
+  /// Sampling thread count (1 when everything runs on the caller).
   virtual uint32_t num_workers() const = 0;
-  /// Backend identifier for logs and benchmarks.
+  /// Engine identifier for logs and benchmarks.
   virtual std::string_view name() const = 0;
 
  protected:
-  /// Harvest helpers shared by both backends (the per-path counter
-  /// bookkeeping used to be copy-pasted four times): fold a finished
-  /// generation/counting batch into the per-engine SamplingStats — kept
-  /// exact, `stats()` stays a thin read — and mirror the same deltas into
-  /// the global atpm_obs registry (atpm_rr_sets_generated_total & co).
-  void AccrueGeneration(uint64_t sets, uint64_t edges, uint64_t draws);
-  void AccrueCounting(uint64_t pools, uint64_t queries);
-
   SamplingStats stats_;
   BudgetGate* budget_ = nullptr;
 
@@ -294,16 +271,38 @@ class SamplingEngine {
   CoverageQueryBatch scratch_batch_;
 };
 
-/// Single-threaded backend: a persistent RRSetGenerator driven by the
-/// caller's Rng. For a fixed (seed, kernel) pair this reproduces the raw
-/// generator code paths (RRCollection::Generate / CountCoveringBatch with
-/// the stream Rng(seed)) bit for bit.
-class SerialSamplingEngine final : public SamplingEngine {
+/// The RR-set sampling engine. With one thread it samples on the calling
+/// thread through one persistent RRSetGenerator and, for a fixed (seed,
+/// kernel) pair, reproduces the raw generator code paths
+/// (RRCollection::Generate / CountCoveringBatch) bit for bit. With more it
+/// also runs that many persistent workers, each with its own generator (no
+/// shared mutable state on the hot path) and a private stream
+/// Rng(SplitSeed(base seed, w)). Queries of at least kMinParallelBatch sets
+/// fan out: pool fills shard into per-worker flat buffers spliced into the
+/// CSR pool in worker order (RRCollection::AppendShard), and counting jobs
+/// give every worker a private counter shard summed in worker order — so
+/// pools, hit counts and edge totals are deterministic for a fixed (seed,
+/// thread count) pair. Smaller queries run inline: a count with the stream
+/// Rng(seed), bit-identical at every thread count; a pool fill with the
+/// stream Rng(base seed), which is only statistically equivalent to the
+/// one-thread engine's fill from the caller's stream.
+///
+/// SamplingStats follow one rule on every path: RNG draws always accrue
+/// (they were consumed); RR sets and edges accrue only for sets that
+/// reached the pool or the hit counters; count pools and queries accrue
+/// only when the count call succeeds.
+class RRSamplingEngine final : public SamplingEngine {
  public:
-  explicit SerialSamplingEngine(
+  /// `num_threads` = 0 means hardware concurrency.
+  explicit RRSamplingEngine(
       const Graph& graph,
       DiffusionModel model = DiffusionModel::kIndependentCascade,
+      uint32_t num_threads = 1,
       SamplingKernel kernel = SamplingKernel::kGeometricJump);
+  ~RRSamplingEngine() override;
+
+  RRSamplingEngine(const RRSamplingEngine&) = delete;
+  RRSamplingEngine& operator=(const RRSamplingEngine&) = delete;
 
   Status TryGeneratePool(const BitVector* removed, uint32_t num_alive,
                          uint64_t count, Rng* rng) override;
@@ -319,78 +318,20 @@ class SerialSamplingEngine final : public SamplingEngine {
   const Graph& graph() const override { return generator_.graph(); }
   DiffusionModel model() const override { return model_; }
   SamplingKernel kernel() const override { return generator_.kernel(); }
-  uint32_t num_workers() const override { return 1; }
-  std::string_view name() const override { return "serial"; }
-
- private:
-  DiffusionModel model_;
-  RRSetGenerator generator_;
-  RRCollection pool_;
-  /// Batch staging in AppendShard layout (flat nodes + per-set sizes),
-  /// reused across GeneratePool calls so the hot loop never reallocates.
-  std::vector<NodeId> shard_nodes_;
-  std::vector<uint32_t> shard_sizes_;
-  uint64_t edges_examined_ = 0;
-};
-
-/// Thread-pool backend: `num_threads` persistent workers, each with its own
-/// RRSetGenerator (no shared mutable state on the hot path) and a private
-/// Rng stream derived by SplitSeed from the query's base seed. Pool
-/// generation shards into per-worker flat buffers that are spliced into the
-/// CSR pool in worker order (RRCollection::AppendShard); counting jobs give
-/// every worker a private per-query counter shard merged by summation in
-/// worker order — so merged pools, batch counts, and aggregated edge counts
-/// are all deterministic for a fixed (seed, num_threads) pair. Queries
-/// below min_parallel_batch bypass the pool and run on the calling thread;
-/// for the counting paths that inline path is bit-identical to the serial
-/// backend (both count with the stream Rng(base seed)), while GeneratePool
-/// is only statistically equivalent (the serial backend generates from the
-/// caller's stream directly, the inline path from one reseeded draw).
-class ParallelSamplingEngine final : public SamplingEngine {
- public:
-  explicit ParallelSamplingEngine(
-      const Graph& graph,
-      DiffusionModel model = DiffusionModel::kIndependentCascade,
-      uint32_t num_threads = 0, uint64_t min_parallel_batch = 4096,
-      SamplingKernel kernel = SamplingKernel::kGeometricJump);
-  ~ParallelSamplingEngine() override;
-
-  ParallelSamplingEngine(const ParallelSamplingEngine&) = delete;
-  ParallelSamplingEngine& operator=(const ParallelSamplingEngine&) = delete;
-
-  Status TryGeneratePool(const BitVector* removed, uint32_t num_alive,
-                         uint64_t count, Rng* rng) override;
-  Result<uint64_t> TryCountCoverageBatchSeeded(CoverageQueryBatch* batch,
-                                               const BitVector* removed,
-                                               uint32_t num_alive,
-                                               uint64_t theta,
-                                               uint64_t seed) override;
-
-  RRCollection& pool() override { return pool_; }
-  void ResetPool() override;
-  uint64_t total_edges_examined() const override { return edges_examined_; }
-  const Graph& graph() const override { return *graph_; }
-  DiffusionModel model() const override { return model_; }
-  SamplingKernel kernel() const override {
-    return inline_generator_.kernel();
-  }
   uint32_t num_workers() const override {
-    return static_cast<uint32_t>(workers_.size());
+    return workers_.empty() ? 1 : static_cast<uint32_t>(workers_.size());
   }
-  std::string_view name() const override { return "parallel"; }
+  std::string_view name() const override {
+    return workers_.empty() ? "serial" : "parallel";
+  }
 
  private:
   /// Per-worker state; only its owning thread touches it during a job.
   struct Worker {
     std::unique_ptr<RRSetGenerator> generator;
-    uint64_t quota = 0;
     /// Per-query hit counters of the current batch job (counter shard).
     std::vector<uint64_t> hit_shard;
     uint64_t edges_result = 0;
-    /// RNG draws consumed by this worker's generator during the current
-    /// job (delta of RRSetGenerator::rng_draws), merged into
-    /// SamplingStats::rng_draws after the barrier.
-    uint64_t draws_result = 0;
     /// RR sets this worker actually drew in the current counting job
     /// (its quota, unless a budget gate stopped it early).
     uint64_t sampled_result = 0;
@@ -402,7 +343,21 @@ class ParallelSamplingEngine final : public SamplingEngine {
     std::vector<uint32_t> shard_sizes;
   };
 
-  /// Runs `body(worker_index)` on every pool thread and blocks until all
+  /// Pool fill and count on the calling thread.
+  Status GenerateInline(const BitVector* removed, uint32_t num_alive,
+                        uint64_t count, Rng* rng);
+  Result<uint64_t> CountInline(CoverageQueryBatch* batch,
+                               const BitVector* removed, uint32_t num_alive,
+                               uint64_t theta, uint64_t seed);
+  /// The same two jobs fanned out over the workers.
+  Status GenerateOnWorkers(const BitVector* removed, uint32_t num_alive,
+                           uint64_t count, uint64_t base_seed);
+  Result<uint64_t> CountOnWorkers(CoverageQueryBatch* batch,
+                                  const BitVector* removed,
+                                  uint32_t num_alive, uint64_t theta,
+                                  uint64_t seed);
+
+  /// Runs `body(worker_index)` on every worker and blocks until all
   /// finish. Exactly one job is in flight at a time. Returns the first
   /// (by worker index) captured worker exception translated to a Status —
   /// std::bad_alloc to kResourceExhausted, anything else to kInternal —
@@ -410,23 +365,31 @@ class ParallelSamplingEngine final : public SamplingEngine {
   /// reusable afterwards.
   Status RunOnPool(const std::function<void(uint32_t)>& body);
   void WorkerLoop(uint32_t index);
-  /// Splits `total` draws over the workers (remainder to the lowest ids).
-  void AssignQuotas(uint64_t total);
+  /// Worker w's share of `total` sets (remainder to the lowest ids).
+  uint64_t Quota(uint64_t total, uint32_t w) const {
+    return total / workers_.size() + (w < total % workers_.size() ? 1 : 0);
+  }
+  /// RNG draws of every generator the engine owns; the difference across
+  /// a query is what that query consumed, whichever path ran.
+  uint64_t TotalDraws() const;
 
-  const Graph* graph_;
+  /// Folds a finished batch into stats_ and mirrors the same deltas into
+  /// the global atpm_obs registry (atpm_rr_sets_generated_total & co).
+  void AccrueGeneration(uint64_t sets, uint64_t edges, uint64_t draws);
+
   DiffusionModel model_;
-  uint64_t min_parallel_batch_;
-
+  /// The calling thread's generator (every query on one thread, the
+  /// sub-kMinParallelBatch ones otherwise).
+  RRSetGenerator generator_;
   RRCollection pool_;
-  uint64_t edges_examined_ = 0;
-  /// Serial fallback generator for sub-threshold queries.
-  RRSetGenerator inline_generator_;
-  /// Inline-path batch staging in AppendShard layout.
+  /// Inline batch staging in AppendShard layout, reused across calls so
+  /// the hot loop never reallocates.
   std::vector<NodeId> shard_nodes_;
   std::vector<uint32_t> shard_sizes_;
+  uint64_t edges_examined_ = 0;
 
+  /// Empty on a one-thread engine.
   std::vector<Worker> workers_;
-  std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable job_cv_;
   std::condition_variable done_cv_;
@@ -434,6 +397,8 @@ class ParallelSamplingEngine final : public SamplingEngine {
   uint64_t job_epoch_ = 0;
   uint32_t pending_ = 0;
   bool stopping_ = false;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> threads_;
 };
 
 /// Installs `gate` on `engine` for the current scope iff the gate's
@@ -463,15 +428,7 @@ class ScopedEngineBudget {
   bool armed_;
 };
 
-/// Builds the backend selected by `options` for (graph, model). kAuto
-/// resolves to kParallel iff the resolved thread count (num_threads, with 0
-/// meaning hardware concurrency) exceeds 1. An explicit kParallel request
-/// whose resolved thread count is 1 also degrades to the serial backend:
-/// a one-worker pool would route every query through its inline serial path
-/// anyway, so the worker thread + condvar machinery would be pure overhead.
-/// Consequently engine->name() (and anything logging it next to
-/// SamplingBackendName(options.backend)) reports "serial" for that
-/// configuration.
+/// Builds an RRSamplingEngine for (graph, model) with `options`.
 std::unique_ptr<SamplingEngine> CreateSamplingEngine(
     const Graph& graph,
     DiffusionModel model = DiffusionModel::kIndependentCascade,
@@ -479,7 +436,7 @@ std::unique_ptr<SamplingEngine> CreateSamplingEngine(
 
 /// Engine slot embedded by policies: hands out an injected (borrowed)
 /// engine when one was set, otherwise lazily builds — and caches across
-/// Run() calls, so a parallel backend keeps its worker pool warm — an
+/// Run() calls, so a multi-threaded engine keeps its workers warm — an
 /// owned engine for the requested (graph, model, options). The cache keys
 /// on graph identity, so the graph passed to Get must stay alive (and
 /// unmoved) for as long as the handle may serve it.

@@ -147,8 +147,9 @@ TEST(CountCoveringBatchTest, SingleQueryBitIdenticalToCountCovering) {
   EXPECT_EQ(rng_a.Next(), rng_b.Next());
 }
 
-// --- Engine layer: serial single-query batch ≡ historical per-query path,
-// parallel batch deterministic, backends agree statistically (±3σ).
+// --- Engine layer: one-thread single-query batch ≡ historical per-query
+// path, multi-thread batch deterministic, thread counts agree statistically
+// (±3σ).
 
 TEST(EngineBatchTest, SerialBatchBitIdenticalToPerQueryCounts) {
   const Graph g = TestGraph(400);
@@ -159,7 +160,7 @@ TEST(EngineBatchTest, SerialBatchBitIdenticalToPerQueryCounts) {
   const uint64_t theta = 20000;
   const uint64_t seed = 4242;
 
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   CoverageQueryBatch batch;
   const uint32_t qf = batch.Add(0, &front);
   const uint32_t qr = batch.Add(0, &rear);
@@ -198,7 +199,7 @@ TEST(EngineBatchTest, ParallelBatchDeterministicForFixedSeedAndThreads) {
 
   uint64_t hits[2][2];
   for (int trial = 0; trial < 2; ++trial) {
-    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
     CoverageQueryBatch batch;
     batch.Add(1, &front);
     batch.Add(1, &rear);
@@ -216,16 +217,16 @@ TEST(EngineBatchTest, ParallelInlinePathBitIdenticalToSerial) {
   const Graph g = TestGraph(300);
   BitVector rear(g.num_nodes());
   for (NodeId v = 30; v < 90; ++v) rear.Set(v);
-  const uint64_t theta = 512;  // below min_parallel_batch
+  const uint64_t theta = 512;  // below kMinParallelBatch
 
-  SerialSamplingEngine serial(g);
+  RRSamplingEngine serial(g);
   CoverageQueryBatch serial_batch;
   serial_batch.Add(0);
   serial_batch.Add(0, &rear);
   serial.CountCoverageBatchSeeded(&serial_batch, nullptr, g.num_nodes(),
                                   theta, 31);
 
-  ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
+  RRSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
   CoverageQueryBatch parallel_batch;
   parallel_batch.Add(0);
   parallel_batch.Add(0, &rear);
@@ -236,20 +237,20 @@ TEST(EngineBatchTest, ParallelInlinePathBitIdenticalToSerial) {
   EXPECT_EQ(serial_batch.hits(1), parallel_batch.hits(1));
 }
 
-TEST(EngineBatchTest, BackendsAgreeWithinThreeSigma) {
+TEST(EngineBatchTest, ThreadCountsAgreeWithinThreeSigma) {
   const Graph g = TestGraph(1000);
   BitVector base(g.num_nodes());
   for (NodeId v = 50; v < 80; ++v) base.Set(v);
   const uint64_t theta = 200000;
 
-  SerialSamplingEngine serial(g);
+  RRSamplingEngine serial(g);
   CoverageQueryBatch serial_batch;
   serial_batch.Add(0, &base);
   serial_batch.Add(3);
   serial.CountCoverageBatchSeeded(&serial_batch, nullptr, g.num_nodes(),
                                   theta, 2024);
 
-  ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
+  RRSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
   CoverageQueryBatch parallel_batch;
   parallel_batch.Add(0, &base);
   parallel_batch.Add(3);
@@ -271,7 +272,7 @@ TEST(EngineBatchTest, BackendsAgreeWithinThreeSigma) {
 
 TEST(EngineBatchTest, StatsTrackPoolsQueriesAndReuse) {
   const Graph g = TestGraph(200);
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   Rng rng(5);
 
   CoverageQueryBatch batch;
@@ -298,7 +299,7 @@ TEST(EngineBatchTest, StatsTrackPoolsQueriesAndReuse) {
 
 TEST(RisOracleBatchTest, BatchedMarginalsMatchDefinitionWithinTolerance) {
   const Graph g = TestGraph(500);
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   RisOracleOptions options;
   options.num_rr_sets = 1 << 16;
   options.seed = 9;
@@ -338,7 +339,6 @@ PolicyRuns RunBothModes(const Graph& g, const ProfitProblem& problem,
                         Options options, uint64_t world_seed = 42) {
   PolicyRuns runs;
   for (int mode = 0; mode < 2; ++mode) {
-    options.sampling.engine = SamplingBackend::kSerial;
     // Batched-vs-unbatched decision equality relies on every decision of
     // the pinned instance being clear-cut; the instances were calibrated
     // under the historical per-edge stream, so pin the kernel (kernel
@@ -449,7 +449,6 @@ TEST(BatchedRoundsTest, HntpBatchedMatchesUnbatchedSeeds) {
   }
 
   HntpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
 
   options.sampling.batched_rounds = true;
   Rng rng_batched(3);

@@ -119,7 +119,6 @@ TEST(ExperimentRunnerTest, SharedRoundPoolsReuseAcrossWorlds) {
   ProfitProblem problem = MakeProblem(g, {0, 1, 2, 3, 4}, 2.0);
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   HatpPolicy policy(options);
   ExperimentRunner runner(problem, 4, 11);
 

@@ -145,7 +145,7 @@ TEST_F(FailpointTest, SpecGrammarParsesAndRejects) {
 
 TEST_F(FailpointTest, InactiveSitesKeepSerialPoolGolden) {
   const Graph g = WcGraph();
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   Rng rng(77);
   const RRCollection& pool =
       engine.GeneratePool(nullptr, g.num_nodes(), 2000, &rng);
@@ -158,8 +158,7 @@ TEST_F(FailpointTest, InactiveSitesKeepParallelSeededCountGolden) {
   const Graph g = WcGraph();
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
-  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
-                                4096);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
   EXPECT_EQ(engine.CountConditionalCoverageSeeded(0, &base, nullptr,
                                                   g.num_nodes(), 60000, 42),
             809u);
@@ -172,7 +171,6 @@ TEST_F(FailpointTest, InactiveSitesKeepHatpRunGolden) {
             (std::vector<NodeId>{2, 4, 7, 18, 13, 17, 8, 9, 41, 22}));
 
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   auto run = RunGoldenHatp(g, problem, hopt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run.value().seeds, (std::vector<NodeId>{2, 7, 17, 9}));
@@ -197,7 +195,7 @@ TEST_F(FailpointTest, InactiveSitesKeepHatpRunGolden) {
 
 TEST_F(FailpointTest, SerialEngineFaultsSurfaceAsStatus) {
   const Graph g = WcGraph();
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   Rng rng(77);
 
   ASSERT_TRUE(failpoint::Arm("engine.serial_batch"));
@@ -222,7 +220,7 @@ TEST_F(FailpointTest, SerialEngineFaultsSurfaceAsStatus) {
 
 TEST_F(FailpointTest, AllocFailuresBecomeResourceExhausted) {
   const Graph g = WcGraph();
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   Rng rng(77);
 
   ASSERT_TRUE(failpoint::Arm("alloc.pool_reserve"));
@@ -238,8 +236,7 @@ TEST_F(FailpointTest, AllocFailuresBecomeResourceExhausted) {
 
 TEST_F(FailpointTest, ParallelWorkerThrowIsContained) {
   const Graph g = WcGraph();
-  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
-                                4096);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
   Rng rng(77);
   ASSERT_TRUE(failpoint::Arm("engine.parallel_worker"));
   // Large enough to engage the worker pool: the exception crosses the
@@ -256,9 +253,70 @@ TEST_F(FailpointTest, ParallelWorkerThrowIsContained) {
   EXPECT_EQ(engine.pool().num_sets(), 20000u);
 }
 
+// One accounting rule on every path: RNG draws accrue even when a query
+// fails (they were consumed), while RR sets, edges, count pools and
+// queries accrue only for work that was delivered.
+TEST_F(FailpointTest, FailedQueriesAccrueDrawsOnly) {
+  const Graph g = WcGraph();
+  const uint64_t big = 2 * kMinParallelBatch;  // fans out on 4 threads
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, threads);
+    Rng rng(77);
+    CoverageQueryBatch batch;
+    batch.Add(0);
+
+    // Pool fill whose sets never reach the pool: the inline append, or the
+    // first shard merge, fails after the sampling ran.
+    ASSERT_TRUE(failpoint::Arm("alloc.pool_append"));
+    EXPECT_TRUE(engine.TryGeneratePool(nullptr, g.num_nodes(), big, &rng)
+                    .IsResourceExhausted());
+    failpoint::DisarmAll();
+    EXPECT_EQ(engine.pool().num_sets(), 0u);
+    EXPECT_EQ(engine.total_edges_examined(), 0u);
+    EXPECT_GT(engine.stats().rng_draws, big);
+    EXPECT_EQ(engine.stats().rr_sets_generated, 0u);
+    EXPECT_EQ(engine.stats().edges_examined, 0u);
+
+    // A count that fails: on one thread the inline allocation fault fires
+    // before any draw; on four the second worker to start throws while the
+    // other three sample their shares.
+    engine.ResetStats();
+    if (threads == 1) {
+      ASSERT_TRUE(failpoint::Arm("alloc.pool_reserve"));
+    } else {
+      failpoint::Spec second_hit;
+      second_hit.fire_at = 2;
+      second_hit.count = 1;
+      ASSERT_TRUE(failpoint::Arm("engine.parallel_worker", second_hit));
+    }
+    EXPECT_FALSE(engine
+                     .TryCountCoverageBatchSeeded(&batch, nullptr,
+                                                  g.num_nodes(), big, 42)
+                     .ok());
+    failpoint::DisarmAll();
+    const SamplingStats& stats = engine.stats();
+    EXPECT_EQ(stats.rng_draws > 0, threads > 1);
+    EXPECT_EQ(stats.rr_sets_generated, 0u);
+    EXPECT_EQ(stats.edges_examined, 0u);
+    EXPECT_EQ(stats.count_pools, 0u);
+    EXPECT_EQ(stats.coverage_queries, 0u);
+
+    // Disarmed, the same count succeeds and accrues everything.
+    ASSERT_TRUE(engine
+                    .TryCountCoverageBatchSeeded(&batch, nullptr,
+                                                 g.num_nodes(), big, 42)
+                    .ok());
+    EXPECT_EQ(stats.rr_sets_generated, big);
+    EXPECT_GT(stats.edges_examined, 0u);
+    EXPECT_EQ(stats.count_pools, 1u);
+    EXPECT_EQ(stats.coverage_queries, 1u);
+  }
+}
+
 TEST_F(FailpointTest, ScheduledFailpointFiresOnExactHits) {
   const Graph g = WcGraph();
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   failpoint::Spec spec;
   spec.fire_at = 3;
   spec.count = 1;
@@ -405,7 +463,6 @@ TEST_F(FailpointTest, HatpPropagatesHardEngineFaults) {
   const ProfitProblem problem = GoldenProblem(g);
   ASSERT_TRUE(failpoint::Arm("engine.serial_batch"));
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   auto run = RunGoldenHatp(g, problem, hopt);
   EXPECT_TRUE(run.status().IsInternal()) << run.status().ToString();
 }
@@ -423,7 +480,6 @@ TEST_F(FailpointTest, HatpAbsorbsInjectedAllocFailure) {
   spec.count = 1;
   ASSERT_TRUE(failpoint::Arm("alloc.pool_reserve", spec));
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   auto run = RunGoldenHatp(g, problem, hopt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run.value().degradation_events.size(), 1u);
@@ -441,7 +497,6 @@ TEST_F(FailpointTest, DeadlineBudgetedHatpTerminatesWithinTwiceBudget) {
   const Graph g = WcGraph();
   const ProfitProblem problem = GoldenProblem(g);
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
 
   // Baseline the unbudgeted run, then grant a quarter of that: the
   // deadline must trip mid-run, and the run must still return within 2x
@@ -478,7 +533,6 @@ TEST_F(FailpointTest, PreCancelledRunDecidesBlindAndDeterministically) {
   CancelToken cancel;
   cancel.Cancel();
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   hopt.sampling.budget.cancel = &cancel;
 
   auto first = RunGoldenHatp(g, problem, hopt);
@@ -518,7 +572,7 @@ TEST_F(FailpointTest, PreCancelledRunDecidesBlindAndDeterministically) {
 
 TEST_F(FailpointTest, PoolByteCapTruncatesGeneratePool) {
   const Graph g = WcGraph();
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   RunBudget budget;
   budget.rr_pool_byte_cap = 2048;
   BudgetGate gate(budget);
@@ -551,7 +605,6 @@ TEST_F(FailpointTest, ChaosScheduleIsReproducibleAndContained) {
               static_cast<unsigned long long>(chaos_seed));
 
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   for (uint64_t trial = 0; trial < 3; ++trial) {
     const uint64_t seed = chaos_seed + trial;
     failpoint::DisarmAll();
@@ -585,7 +638,7 @@ TEST_F(FailpointTest, ChaosScheduleIsReproducibleAndContained) {
   failpoint::DisarmAll();
 
   // Chaos armed, chaos disarmed: back to the golden stream.
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   Rng rng(77);
   ASSERT_TRUE(
       engine.TryGeneratePool(nullptr, g.num_nodes(), 2000, &rng).ok());

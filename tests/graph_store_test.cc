@@ -105,7 +105,7 @@ uint64_t PoolHash(const RRCollection& pool) {
 uint64_t PoolHashFor(const Graph& g, DiffusionModel model, uint64_t seed,
                      uint64_t num_sets) {
   Rng rng(seed);
-  SerialSamplingEngine engine(g, model);
+  RRSamplingEngine engine(g, model);
   return PoolHash(engine.GeneratePool(nullptr, g.num_nodes(), num_sets, &rng));
 }
 
@@ -402,7 +402,6 @@ TEST_F(GraphStoreTest, HatpDecisionSequenceIdenticalOnMappedGraph) {
   ASSERT_TRUE(selection.ok()) << selection.status().ToString();
 
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   hopt.sampling.kernel = SamplingKernel::kPerEdge;
   HatpPolicy policy(hopt);
   Rng world_rng(42);

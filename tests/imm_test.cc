@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "diffusion/spread_oracle.h"
@@ -32,6 +33,20 @@ TEST(ImmTest, RejectsInvalidArguments) {
   EXPECT_FALSE(RunImm(g, 2, bad_eps).ok());
   const Graph empty;
   EXPECT_FALSE(RunImm(empty, 1).ok());
+  // NaN or out-of-range accuracy options are rejected up front instead of
+  // reaching the sample-size cast as a NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad[][2] = {{nan, 1.0}, {0.5, nan}, {0.5, -50.0}, {0.5, inf}};
+  for (const auto& [epsilon, ell] : bad) {
+    ImmOptions options;
+    options.epsilon = epsilon;
+    options.ell = ell;
+    const Result<ImmResult> result = RunImm(g, 2, options);
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << "epsilon " << epsilon << " ell " << ell << ": "
+        << result.status().ToString();
+  }
 }
 
 TEST(ImmTest, BudgetCapYieldsOutOfBudget) {

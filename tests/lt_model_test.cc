@@ -304,7 +304,7 @@ TEST(LtSpreadOracleTest, RisOracleMatchesExactUnderLt) {
       ExactSpreadOracle::Create(g, 30, DiffusionModel::kLinearThreshold);
   ASSERT_TRUE(exact.ok());
 
-  SerialSamplingEngine engine(g, DiffusionModel::kLinearThreshold);
+  RRSamplingEngine engine(g, DiffusionModel::kLinearThreshold);
   RisOracleOptions ris_options;
   ris_options.num_rr_sets = 1u << 17;
   ris_options.seed = 18;
@@ -325,14 +325,14 @@ TEST(LtSamplingEngineTest, ParallelCountAgreesWithSerialUnderLt) {
 
   const uint64_t theta = 100000;
   Rng serial_rng(20);
-  SerialSamplingEngine serial(g, DiffusionModel::kLinearThreshold);
+  RRSamplingEngine serial(g, DiffusionModel::kLinearThreshold);
   const double p_serial =
       static_cast<double>(serial.CountConditionalCoverage(
           0, nullptr, nullptr, g.num_nodes(), theta, &serial_rng)) /
       static_cast<double>(theta);
 
   Rng parallel_rng(21);
-  ParallelSamplingEngine parallel(g, DiffusionModel::kLinearThreshold, 4);
+  RRSamplingEngine parallel(g, DiffusionModel::kLinearThreshold, 4);
   const double p_parallel =
       static_cast<double>(parallel.CountConditionalCoverage(
           0, nullptr, nullptr, g.num_nodes(), theta, &parallel_rng)) /

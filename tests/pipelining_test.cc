@@ -72,7 +72,6 @@ TEST(BudgetExhaustionTest, FirstRoundAbortIsExplicitAndNeverSeeds) {
   const ProfitProblem problem = CalibratedProblem(g, 10);
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.max_rr_sets_per_decision = 1;  // below any round-0 theta
   options.fail_on_budget_exhausted = false;
   const AdaptiveRunResult run =
@@ -97,7 +96,6 @@ TEST(BudgetExhaustionTest, AddAtpFirstRoundAbortDoesNotSelectOnZeroes) {
   const ProfitProblem problem = CalibratedProblem(g, 10);
 
   AddAtpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.max_rr_sets_per_decision = 1;
   options.fail_on_budget_exhausted = false;
   const AdaptiveRunResult run =
@@ -115,7 +113,6 @@ TEST(BudgetExhaustionTest, HntpFirstRoundAbortIsCountedAndNeverSeeds) {
   const ProfitProblem problem = CalibratedProblem(g, 10);
 
   HntpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.max_rr_sets_per_decision = 1;
   options.fail_on_budget_exhausted = false;
   Rng rng(3);
@@ -135,7 +132,6 @@ TEST(BudgetExhaustionTest, MidScheduleAbortDecidesFromLastCompletedRound) {
   // every examined candidate completes round 0, candidates wanting more
   // rounds are truncated — never kBudgetExhausted.
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   const double n0 = static_cast<double>(g.num_nodes());
   const double zeta0 = options.initial_spread_error / n0;
   const double delta0 =
@@ -159,9 +155,9 @@ TEST(BudgetExhaustionTest, MidScheduleAbortDecidesFromLastCompletedRound) {
   EXPECT_FALSE(run.seeds.empty());  // clear-cut hubs still decide in round 0
 }
 
-// --- Zero-quota workers: a parallel batch whose theta is below the worker
-// count leaves some workers with quota 0; the deterministic worker-order
-// merge must not care.
+// --- Tiny batches on many-thread engines: a theta below the worker count
+// (or zero) is far below kMinParallelBatch, so it runs inline on the
+// calling thread; the answer must be deterministic and never exceed theta.
 
 TEST(ZeroQuotaWorkerTest, CountCoverageBatchSeededIsDeterministic) {
   const Graph g = TestGraph(200);
@@ -171,10 +167,7 @@ TEST(ZeroQuotaWorkerTest, CountCoverageBatchSeededIsDeterministic) {
 
   uint64_t reference[2] = {0, 0};
   for (int trial = 0; trial < 3; ++trial) {
-    // min_parallel_batch = 1 forces the fan-out even for tiny theta; 8
-    // workers leave at least five with quota 0.
-    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 8,
-                                  /*min_parallel_batch=*/1);
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 8);
     CoverageQueryBatch batch;
     batch.Add(0);
     batch.Add(1, &base);
@@ -196,8 +189,7 @@ TEST(ZeroQuotaWorkerTest, CountCoverageBatchSeededIsDeterministic) {
 
 TEST(ZeroQuotaWorkerTest, ZeroThetaBatchLeavesZeroHits) {
   const Graph g = TestGraph(100);
-  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
-                                /*min_parallel_batch=*/1);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
   CoverageQueryBatch batch;
   batch.Add(0);
   engine.CountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), 0, 9);
@@ -211,7 +203,6 @@ TEST(ZeroQuotaWorkerTest, ZeroThetaBatchLeavesZeroHits) {
 template <typename Policy, typename Options>
 void ExpectLookaheadEquivalence(const Graph& g, const ProfitProblem& problem,
                                 Options options, uint64_t world_seed) {
-  options.sampling.engine = SamplingBackend::kSerial;
   // Decision equivalence across sampling layouts holds when every decision
   // on the pinned instance is clear-cut; the instances were calibrated for
   // that margin under the historical per-edge RNG stream, so pin the
@@ -298,7 +289,6 @@ TEST(SpeculativePipeliningTest, HntpLookaheadMatchesWindowZeroSeeds) {
   }
 
   HntpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.lookahead_window = 0;
   Rng rng_baseline(3);
   Result<HntpResult> baseline = RunHntp(problem, options, &rng_baseline);
@@ -323,7 +313,6 @@ TEST(SpeculativePipeliningTest, UnbatchedRoundsIgnoreTheWindow) {
   const ProfitProblem problem = CalibratedProblem(g, 10);
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.batched_rounds = false;
   options.sampling.lookahead_window = 8;
   const AdaptiveRunResult run = RunPolicy<HatpPolicy>(g, problem, options);
@@ -342,7 +331,6 @@ TEST(AdaptiveLookaheadTest, DecisionsMatchFixedWindowAndTraceWidens) {
   const ProfitProblem problem = CalibratedProblem(g);
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.kernel = SamplingKernel::kPerEdge;
   options.sampling.lookahead_window = 1;
   const AdaptiveRunResult fixed = RunPolicy<HatpPolicy>(g, problem, options,
@@ -413,7 +401,6 @@ TEST(AdaptiveLookaheadTest, StationaryEpochWidensGeometricallyToTheCap) {
   }
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.lookahead_window = 1;
   options.sampling.adaptive_lookahead = true;
   options.sampling.max_lookahead_window = 8;
@@ -444,7 +431,6 @@ TEST(SpeculativePipeliningTest, EpochBumpDiscardsEveryInFlightAnswer) {
   }
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.lookahead_window = 0;
   const AdaptiveRunResult baseline = RunPolicy<HatpPolicy>(g, problem, options);
 

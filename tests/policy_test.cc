@@ -279,18 +279,6 @@ LoopGoldenRun RunAdaptiveGolden(AdaptivePolicy* policy, const Graph& g,
   return {RunSummary(run.value()), StepsSummary(run.value().steps)};
 }
 
-HatpOptions SerialHatp() {
-  HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
-  return options;
-}
-
-AddAtpOptions SerialAddAtp() {
-  AddAtpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
-  return options;
-}
-
 LoopGoldenRun RunHatpGolden(const HatpOptions& options, const Graph& g,
                             const ProfitProblem& problem) {
   HatpPolicy policy(options);
@@ -325,7 +313,7 @@ void PrintTo(const LoopGoldenCase& golden, std::ostream* os) {
 const LoopGoldenCase kLoopGoldens[] = {
     {"AddAtpFixedThreshold",
      [](const Graph& g, const ProfitProblem& problem) {
-       return RunAddAtpGolden(SerialAddAtp(), g, problem);
+       return RunAddAtpGolden(AddAtpOptions{}, g, problem);
      },
      "seeds=2,7,18,17,9, rr=5516789 queries=196 pools=98 "
      "max_iter=1151561 exhausted=0 truncated=0 spec=0/0/0/0/0 window= "
@@ -336,7 +324,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      "22:2:0:0:0:0 "},
     {"AddAtpDynamicThreshold",
      [](const Graph& g, const ProfitProblem& problem) {
-       AddAtpOptions options = SerialAddAtp();
+       AddAtpOptions options;
        options.dynamic_threshold = true;
        options.dynamic_epsilon = 0.5;  // enough slack to raise the C2 bar
        return RunAddAtpGolden(options, g, problem);
@@ -350,7 +338,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      "22:2:0:0:0:0 "},
     {"AddAtpRrCapTruncated",
      [](const Graph& g, const ProfitProblem& problem) {
-       AddAtpOptions options = SerialAddAtp();
+       AddAtpOptions options;
        options.sampling.max_rr_sets_per_decision = 200000;
        options.fail_on_budget_exhausted = false;
        return RunAddAtpGolden(options, g, problem);
@@ -369,7 +357,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      "22:2:0:0:0:0 "},
     {"Hntp",
      [](const Graph&, const ProfitProblem& problem) {
-       return RunHntpGolden(SerialHatp(), problem);
+       return RunHntpGolden(HatpOptions{}, problem);
      },
      "seeds=2,18,9,22, rr=1182856 queries=218 pools=109 "
      "max_iter=128224 exhausted=0 truncated=0 spec=0/0/0/0/0 window= "
@@ -380,7 +368,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      "22:0:11:128224:22:0 "},
     {"HntpLookahead4",
      [](const Graph&, const ProfitProblem& problem) {
-       HatpOptions options = SerialHatp();
+       HatpOptions options;
        options.sampling.lookahead_window = 4;
        return RunHntpGolden(options, problem);
      },
@@ -394,7 +382,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      "22:1:11:0:0:1 "},
     {"HatpUnbatched",
      [](const Graph& g, const ProfitProblem& problem) {
-       HatpOptions options = SerialHatp();
+       HatpOptions options;
        options.sampling.batched_rounds = false;
        return RunHatpGolden(options, g, problem);
      },
@@ -408,7 +396,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      "22:2:0:0:0:0 "},
     {"HatpLookahead4",
      [](const Graph& g, const ProfitProblem& problem) {
-       HatpOptions options = SerialHatp();
+       HatpOptions options;
        options.sampling.lookahead_window = 4;
        return RunHatpGolden(options, g, problem);
      },
@@ -421,7 +409,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      "9:0:10:0:0:1 41:1:11:94460:22:0 22:2:0:0:0:0 "},
     {"HatpAdaptiveLookahead",
      [](const Graph& g, const ProfitProblem& problem) {
-       HatpOptions options = SerialHatp();
+       HatpOptions options;
        options.sampling.lookahead_window = 2;
        options.sampling.adaptive_lookahead = true;
        options.sampling.lookahead_discard_threshold = 1.0;  // always widen
@@ -436,7 +424,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      "9:0:10:0:0:1 41:1:11:94460:22:0 22:2:0:0:0:0 "},
     {"HatpRrCapTruncated",
      [](const Graph& g, const ProfitProblem& problem) {
-       HatpOptions options = SerialHatp();
+       HatpOptions options;
        options.sampling.max_rr_sets_per_decision = 40000;
        options.fail_on_budget_exhausted = false;
        return RunHatpGolden(options, g, problem);

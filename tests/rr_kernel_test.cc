@@ -160,7 +160,7 @@ TEST(WeightClassTest, LtPlansMatchProbabilityMass) {
 
 TEST(WeightClassTest, ProfileExposedThroughSpreadOracles) {
   const Graph g = TestGraph(200, Weighting::kWeightedCascade);
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   RisSpreadOracle oracle(&engine);
   const WeightClassProfile profile = oracle.InWeightClassProfile();
   EXPECT_EQ(profile.total_edges, g.num_edges());
@@ -301,8 +301,6 @@ TEST_P(KernelAgreementTest, CoverageEstimatesAgreeWithin3Sigma) {
   const uint64_t theta = 120000;
 
   SamplingEngineOptions options;
-  options.backend =
-      parallel ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = parallel ? 4 : 1;
 
   options.kernel = SamplingKernel::kPerEdge;
@@ -323,8 +321,7 @@ TEST_P(KernelAgreementTest, CoverageEstimatesAgreeWithin3Sigma) {
   EXPECT_GT(p_hat, 0.0);
   EXPECT_NEAR(p_ref, p_fast, 3.0 * sigma + 1e-9)
       << "weighting " << std::get<0>(GetParam()) << " model "
-      << std::get<1>(GetParam()) << " backend "
-      << (parallel ? "parallel" : "serial");
+      << std::get<1>(GetParam()) << " threads " << options.num_threads;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -342,12 +339,12 @@ TEST(KernelAgreementTest, PoolMembershipAgreesAcrossKernels) {
     const Graph g = TestGraph(300, Weighting::kWeightedCascade);
     const uint64_t count = 40000;
 
-    SerialSamplingEngine per_edge(g, model, SamplingKernel::kPerEdge);
+    RRSamplingEngine per_edge(g, model, 1, SamplingKernel::kPerEdge);
     Rng rng_a(10);
     const RRCollection& pool_a =
         per_edge.GeneratePool(nullptr, g.num_nodes(), count, &rng_a);
 
-    SerialSamplingEngine jump(g, model, SamplingKernel::kGeometricJump);
+    RRSamplingEngine jump(g, model, 1, SamplingKernel::kGeometricJump);
     Rng rng_b(20);
     const RRCollection& pool_b =
         jump.GeneratePool(nullptr, g.num_nodes(), count, &rng_b);
@@ -387,8 +384,8 @@ TEST(PerEdgeGoldenTest, SerialIcCountMatchesPreKernelTree) {
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
   Rng rng(5);
-  SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
-                              SamplingKernel::kPerEdge);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 1,
+                          SamplingKernel::kPerEdge);
   EXPECT_EQ(engine.CountConditionalCoverage(0, &base, nullptr, g.num_nodes(),
                                             20000, &rng),
             314u);
@@ -397,8 +394,8 @@ TEST(PerEdgeGoldenTest, SerialIcCountMatchesPreKernelTree) {
 TEST(PerEdgeGoldenTest, SerialIcPoolMatchesPreKernelTree) {
   const Graph g = GoldenWcGraph();
   Rng rng(77);
-  SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
-                              SamplingKernel::kPerEdge);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 1,
+                          SamplingKernel::kPerEdge);
   const RRCollection& pool =
       engine.GeneratePool(nullptr, g.num_nodes(), 2000, &rng);
   EXPECT_EQ(pool.total_nodes(), 11288u);
@@ -411,16 +408,16 @@ TEST(PerEdgeGoldenTest, SerialLtCountAndPoolMatchPreKernelTree) {
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
   {
     Rng rng(5);
-    SerialSamplingEngine engine(g, DiffusionModel::kLinearThreshold,
-                                SamplingKernel::kPerEdge);
+    RRSamplingEngine engine(g, DiffusionModel::kLinearThreshold, 1,
+                            SamplingKernel::kPerEdge);
     EXPECT_EQ(engine.CountConditionalCoverage(0, &base, nullptr,
                                               g.num_nodes(), 20000, &rng),
               526u);
   }
   {
     Rng rng(77);
-    SerialSamplingEngine engine(g, DiffusionModel::kLinearThreshold,
-                                SamplingKernel::kPerEdge);
+    RRSamplingEngine engine(g, DiffusionModel::kLinearThreshold, 1,
+                            SamplingKernel::kPerEdge);
     const RRCollection& pool =
         engine.GeneratePool(nullptr, g.num_nodes(), 1000, &rng);
     EXPECT_EQ(PoolHash(pool), 1754442299263415209ull);
@@ -432,8 +429,8 @@ TEST(PerEdgeGoldenTest, SerialIcTrivalencyCountMatchesPreKernelTree) {
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
   Rng rng(5);
-  SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
-                              SamplingKernel::kPerEdge);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 1,
+                          SamplingKernel::kPerEdge);
   EXPECT_EQ(engine.CountConditionalCoverage(0, &base, nullptr, g.num_nodes(),
                                             20000, &rng),
             146u);
@@ -443,8 +440,8 @@ TEST(PerEdgeGoldenTest, ParallelSeededCountMatchesPreKernelTree) {
   const Graph g = GoldenWcGraph();
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
-  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
-                                4096, SamplingKernel::kPerEdge);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
+                          SamplingKernel::kPerEdge);
   EXPECT_EQ(engine.CountConditionalCoverageSeeded(0, &base, nullptr,
                                                   g.num_nodes(), 60000, 42),
             997u);
@@ -469,7 +466,6 @@ TEST(PerEdgeGoldenTest, HatpDecisionSequenceMatchesPreKernelTree) {
   const ProfitProblem& problem = selection.value().problem;
 
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   hopt.sampling.kernel = SamplingKernel::kPerEdge;
   HatpPolicy policy(hopt);
   Rng world_rng(42);
@@ -551,9 +547,9 @@ TEST(RngDrawStatsTest, GeometricJumpHalvesDrawsPerEdgeOnWeightedCascade) {
   const uint64_t theta = 20000;
   double draws_per_edge[2];
   for (int k = 0; k < 2; ++k) {
-    SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
-                                k == 0 ? SamplingKernel::kPerEdge
-                                       : SamplingKernel::kGeometricJump);
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 1,
+                            k == 0 ? SamplingKernel::kPerEdge
+                            : SamplingKernel::kGeometricJump);
     Rng rng(33);
     engine.CountConditionalCoverage(0, nullptr, nullptr, g.num_nodes(),
                                     theta, &rng);
@@ -569,8 +565,8 @@ TEST(RngDrawStatsTest, GeometricJumpHalvesDrawsPerEdgeOnWeightedCascade) {
 
 TEST(RngDrawStatsTest, ParallelBackendAggregatesWorkerDraws) {
   const Graph g = TestGraph(400, Weighting::kWeightedCascade);
-  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
-  const uint64_t theta = 20000;  // above min_parallel_batch
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
+  const uint64_t theta = 20000;  // above kMinParallelBatch
   engine.CountConditionalCoverageSeeded(0, nullptr, nullptr, g.num_nodes(),
                                         theta, 7);
   EXPECT_GT(engine.stats().rng_draws, theta);  // >= 1 root draw per set
@@ -653,7 +649,6 @@ TEST(KernelKnobTest, NamesAndEngineReporting) {
   EXPECT_STREQ(SamplingKernelName(SamplingKernel::kPerEdge), "per-edge");
   const Graph g = TestGraph(100, Weighting::kWeightedCascade);
   SamplingEngineOptions options;
-  options.backend = SamplingBackend::kSerial;
   options.kernel = SamplingKernel::kPerEdge;
   EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
                                  options)
@@ -664,7 +659,6 @@ TEST(KernelKnobTest, NamesAndEngineReporting) {
 TEST(KernelKnobTest, HandleRebuildsWhenKernelChanges) {
   const Graph g = TestGraph(100, Weighting::kWeightedCascade);
   SamplingEngineOptions options;
-  options.backend = SamplingBackend::kSerial;
   SamplingEngineHandle handle;
   SamplingEngine* jump =
       handle.Get(g, DiffusionModel::kIndependentCascade, options);

@@ -230,9 +230,7 @@ TEST(CountCoveringTest, EarlyAbortDoesNotBiasCounts) {
 TEST(ParallelCountingTest, DeterministicGivenSeedAndThreads) {
   const Graph g = MakeStarGraph(20, 0.3);
   SamplingEngineOptions options;
-  options.backend = SamplingBackend::kParallel;
   options.num_threads = 4;
-  options.min_parallel_batch = 1024;  // engage the pool at this theta
   SamplingEngineHandle handle;
   SamplingEngine* engine =
       handle.Get(g, DiffusionModel::kIndependentCascade, options);
@@ -247,14 +245,11 @@ TEST(ParallelCountingTest, ThreadCountsAgreeStatistically) {
   const Graph g = MakeStarGraph(20, 0.3);
   const uint64_t theta = 200000;
   SamplingEngineHandle handle;
-  SamplingEngineOptions serial_options;
-  serial_options.backend = SamplingBackend::kSerial;
   const uint64_t single =
-      handle.Get(g, DiffusionModel::kIndependentCascade, serial_options)
+      handle.Get(g, DiffusionModel::kIndependentCascade, {})
           ->CountConditionalCoverageSeeded(0, nullptr, nullptr, 20, theta,
                                            1);
   SamplingEngineOptions parallel_options;
-  parallel_options.backend = SamplingBackend::kParallel;
   parallel_options.num_threads = 8;
   const uint64_t multi =
       handle.Get(g, DiffusionModel::kIndependentCascade, parallel_options)

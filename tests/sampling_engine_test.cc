@@ -1,6 +1,6 @@
-// Tests for the SamplingEngine layer: serial backend bit-identity against
-// the raw generator, parallel backend determinism, cross-backend
-// statistical agreement, shard merging, and EPT accounting.
+// Tests for the SamplingEngine layer: one-thread bit-identity against the
+// raw generator, multi-thread determinism, 1-vs-N-thread statistical
+// agreement, caller-stream use, shard merging, and EPT accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,15 +42,15 @@ void ExpectSamePools(const RRCollection& a, const RRCollection& b) {
   }
 }
 
-// (a) The serial backend reproduces the raw-generator code paths bit for
+// (a) The one-thread engine reproduces the raw-generator code paths bit for
 // bit for a fixed seed.
 
-TEST(SerialSamplingEngineTest, PoolBitIdenticalToRawGenerator) {
+TEST(OneThreadEngineTest, PoolBitIdenticalToRawGenerator) {
   const Graph g = TestGraph(300);
   const uint64_t count = 2000;
 
   Rng engine_rng(77);
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   const RRCollection& engine_pool =
       engine.GeneratePool(nullptr, g.num_nodes(), count, &engine_rng);
 
@@ -64,14 +64,14 @@ TEST(SerialSamplingEngineTest, PoolBitIdenticalToRawGenerator) {
   EXPECT_EQ(engine.total_edges_examined(), raw_edges);
 }
 
-TEST(SerialSamplingEngineTest, PoolBitIdenticalOnResidualGraph) {
+TEST(OneThreadEngineTest, PoolBitIdenticalOnResidualGraph) {
   const Graph g = TestGraph(300);
   BitVector removed(g.num_nodes());
   for (NodeId v = 0; v < 40; ++v) removed.Set(v);
   const uint32_t alive = g.num_nodes() - 40;
 
   Rng engine_rng(78);
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   const RRCollection& engine_pool =
       engine.GeneratePool(&removed, alive, 1500, &engine_rng);
 
@@ -83,7 +83,7 @@ TEST(SerialSamplingEngineTest, PoolBitIdenticalOnResidualGraph) {
   ExpectSamePools(engine_pool, raw_pool);
 }
 
-TEST(SerialSamplingEngineTest, CountBitIdenticalToRawGenerator) {
+TEST(OneThreadEngineTest, CountBitIdenticalToRawGenerator) {
   const Graph g = TestGraph(300);
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
@@ -93,7 +93,7 @@ TEST(SerialSamplingEngineTest, CountBitIdenticalToRawGenerator) {
   // with the stream Rng(base seed) — exactly a raw generator driven by
   // that reseeded stream.
   Rng engine_rng(5);
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   const uint64_t engine_count = engine.CountConditionalCoverage(
       0, &base, nullptr, g.num_nodes(), theta, &engine_rng);
 
@@ -108,10 +108,10 @@ TEST(SerialSamplingEngineTest, CountBitIdenticalToRawGenerator) {
   EXPECT_EQ(engine_rng.Next(), reference_rng.Next());
 }
 
-TEST(SerialSamplingEngineTest, ResetPoolClearsSetsAndAccounting) {
+TEST(OneThreadEngineTest, ResetPoolClearsSetsAndAccounting) {
   const Graph g = TestGraph(100);
   Rng rng(9);
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   engine.GeneratePool(nullptr, g.num_nodes(), 100, &rng);
   EXPECT_GT(engine.pool().num_sets(), 0u);
   EXPECT_GT(engine.total_edges_examined(), 0u);
@@ -120,33 +120,33 @@ TEST(SerialSamplingEngineTest, ResetPoolClearsSetsAndAccounting) {
   EXPECT_EQ(engine.total_edges_examined(), 0u);
 }
 
-// (b) The parallel backend is deterministic for a fixed (seed, threads).
+// (b) A multi-threaded engine is deterministic for a fixed (seed, threads).
 
-TEST(ParallelSamplingEngineTest, PoolDeterministicForFixedSeedAndThreads) {
+TEST(MultiThreadEngineTest, PoolDeterministicForFixedSeedAndThreads) {
   const Graph g = TestGraph(500);
-  const uint64_t count = 8192;  // above the serial-fallback threshold
+  const uint64_t count = 2 * kMinParallelBatch;  // fans out
 
   RRCollection first(0);
   {
     Rng rng(123);
-    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
     first = engine.GeneratePool(nullptr, g.num_nodes(), count, &rng);
     EXPECT_EQ(engine.num_workers(), 4u);
   }
   Rng rng(123);
-  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
   const RRCollection& second =
       engine.GeneratePool(nullptr, g.num_nodes(), count, &rng);
   ExpectSamePools(first, second);
 }
 
-TEST(ParallelSamplingEngineTest, CountDeterministicForFixedSeedAndThreads) {
+TEST(MultiThreadEngineTest, CountDeterministicForFixedSeedAndThreads) {
   const Graph g = TestGraph(500);
   const uint64_t theta = 60000;
   uint64_t counts[2];
   for (int trial = 0; trial < 2; ++trial) {
     Rng rng(321);
-    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
     counts[trial] = engine.CountConditionalCoverage(
         1, nullptr, nullptr, g.num_nodes(), theta, &rng);
   }
@@ -154,12 +154,12 @@ TEST(ParallelSamplingEngineTest, CountDeterministicForFixedSeedAndThreads) {
   EXPECT_GT(counts[0], 0u);
 }
 
-TEST(ParallelSamplingEngineTest, EdgeAccountingDeterministicAndAggregated) {
+TEST(MultiThreadEngineTest, EdgeAccountingDeterministicAndAggregated) {
   const Graph g = TestGraph(500);
   uint64_t edges[2];
   for (int trial = 0; trial < 2; ++trial) {
     Rng rng(55);
-    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
     engine.GeneratePool(nullptr, g.num_nodes(), 8192, &rng);
     edges[trial] = engine.total_edges_examined();
   }
@@ -169,46 +169,39 @@ TEST(ParallelSamplingEngineTest, EdgeAccountingDeterministicAndAggregated) {
   EXPECT_GT(edges[0], 8192u);
 }
 
-TEST(ParallelSamplingEngineTest, SmallBatchesFallBackToSerialBitExactly) {
+TEST(MultiThreadEngineTest, SmallCountsRunInlineBitExactly) {
   const Graph g = TestGraph(300);
-  const uint64_t theta = 512;  // below min_parallel_batch
+  const uint64_t theta = 512;  // below kMinParallelBatch
 
-  Rng parallel_rng(42);
-  ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
-  const uint64_t parallel_count = parallel.CountConditionalCoverage(
-      0, nullptr, nullptr, g.num_nodes(), theta, &parallel_rng);
+  Rng multi_rng(42);
+  RRSamplingEngine multi(g, DiffusionModel::kIndependentCascade, 4);
+  const uint64_t multi_count = multi.CountConditionalCoverage(
+      0, nullptr, nullptr, g.num_nodes(), theta, &multi_rng);
 
-  Rng serial_rng(42);
-  SerialSamplingEngine serial(g);
-  const uint64_t serial_count = serial.CountConditionalCoverage(
-      0, nullptr, nullptr, g.num_nodes(), theta, &serial_rng);
+  Rng single_rng(42);
+  RRSamplingEngine single(g);
+  const uint64_t single_count = single.CountConditionalCoverage(
+      0, nullptr, nullptr, g.num_nodes(), theta, &single_rng);
 
-  EXPECT_EQ(parallel_count, serial_count);
+  EXPECT_EQ(multi_count, single_count);
 }
 
-// (c) Serial and parallel backends agree within concentration bounds on a
-// 1k-node generator graph: both estimate p = Pr[u in RR set avoiding base],
-// and two independent θ-sample means differ by more than
-// 5·sqrt(2·p̂(1−p̂)/θ) with probability well under 1e-5.
-
-// Concurrency stress for the TSan lane: min_parallel_batch = 1 forces
-// every job through the worker pool, and the alternating small
-// GeneratePool / CountCoverageBatchSeeded rounds keep the hand-off
-// machinery hot — job-epoch publication, the pending-counter rendezvous,
-// per-worker shard fills, the worker-order merge, and the per-worker
+// Concurrency stress for the TSan lane: every batch is at least
+// kMinParallelBatch, so every job goes through the workers, and the
+// alternating GeneratePool / CountCoverageBatchSeeded rounds keep the
+// hand-off machinery hot — job-epoch publication, the pending-counter
+// rendezvous, per-worker shard fills, the worker-order merge, and the
 // draw/edge stat harvest. Under -fsanitize=thread this is the data-race
-// probe for ParallelSamplingEngine (CI runs it with
-// TSAN_OPTIONS=halt_on_error=1); in a plain build it doubles as a
-// determinism check — a second identically seeded engine must produce a
-// bit-identical pool, counters, and stats through the same churn.
-TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
+// probe for the worker pool (CI runs it with TSAN_OPTIONS=halt_on_error=1);
+// in a plain build it doubles as a determinism check — a second
+// identically seeded engine must produce a bit-identical pool, counters,
+// and stats through the same churn.
+TEST(MultiThreadEngineTest, WorkerHandoffStress) {
   const Graph g = TestGraph(200);
   constexpr uint32_t kThreads = 4;
   constexpr int kRounds = 50;
-  ParallelSamplingEngine a(g, DiffusionModel::kIndependentCascade, kThreads,
-                           /*min_parallel_batch=*/1);
-  ParallelSamplingEngine b(g, DiffusionModel::kIndependentCascade, kThreads,
-                           /*min_parallel_batch=*/1);
+  RRSamplingEngine a(g, DiffusionModel::kIndependentCascade, kThreads);
+  RRSamplingEngine b(g, DiffusionModel::kIndependentCascade, kThreads);
   Rng rng_a(991), rng_b(991);
   BitVector removed(g.num_nodes());
   for (NodeId v = 0; v < 17; ++v) removed.Set(v);
@@ -217,7 +210,8 @@ TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
   base.Set(20);
   base.Set(21);
   for (int round = 0; round < kRounds; ++round) {
-    const uint64_t count = 16 + round;  // odd sizes exercise quota remainders
+    // Odd sizes exercise quota remainders.
+    const uint64_t count = kMinParallelBatch + 1 + round;
     a.GeneratePool(&removed, alive, count, &rng_a);
     b.GeneratePool(&removed, alive, count, &rng_b);
     CoverageQueryBatch batch_a;
@@ -226,7 +220,8 @@ TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
       batch_a.Add(q, &base);
       batch_b.Add(q, &base);
     }
-    const uint64_t theta = 64 + 8 * static_cast<uint64_t>(round);
+    const uint64_t theta =
+        kMinParallelBatch + 8 * static_cast<uint64_t>(round);
     a.CountCoverageBatchSeeded(&batch_a, &removed, alive, theta, 17 + round);
     b.CountCoverageBatchSeeded(&batch_b, &removed, alive, theta, 17 + round);
     for (size_t q = 0; q < batch_a.size(); ++q) {
@@ -240,72 +235,119 @@ TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
   EXPECT_EQ(a.total_edges_examined(), b.total_edges_examined());
 }
 
-TEST(SamplingEngineAgreementTest, SerialVsParallelCoverageEstimates) {
+// (c) One- and four-thread engines agree within concentration bounds on a
+// 1k-node generator graph: both estimate p = Pr[u in RR set avoiding base],
+// and two independent θ-sample means differ by more than
+// 5·sqrt(2·p̂(1−p̂)/θ) with probability well under 1e-5.
+
+TEST(SamplingEngineAgreementTest, OneVsFourThreadCoverageEstimates) {
   const Graph g = TestGraph(1000);
   BitVector base(g.num_nodes());
   for (NodeId v = 50; v < 80; ++v) base.Set(v);
   const uint64_t theta = 200000;
   const NodeId u = 0;
 
-  Rng serial_rng(2024);
-  SerialSamplingEngine serial(g);
-  const double p_serial =
-      static_cast<double>(serial.CountConditionalCoverage(
-          u, &base, nullptr, g.num_nodes(), theta, &serial_rng)) /
+  Rng single_rng(2024);
+  RRSamplingEngine single(g);
+  const double p_single =
+      static_cast<double>(single.CountConditionalCoverage(
+          u, &base, nullptr, g.num_nodes(), theta, &single_rng)) /
       static_cast<double>(theta);
 
-  Rng parallel_rng(4048);
-  ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
-  const double p_parallel =
-      static_cast<double>(parallel.CountConditionalCoverage(
-          u, &base, nullptr, g.num_nodes(), theta, &parallel_rng)) /
+  Rng multi_rng(4048);
+  RRSamplingEngine multi(g, DiffusionModel::kIndependentCascade, 4);
+  const double p_multi =
+      static_cast<double>(multi.CountConditionalCoverage(
+          u, &base, nullptr, g.num_nodes(), theta, &multi_rng)) /
       static_cast<double>(theta);
 
-  const double p_hat = 0.5 * (p_serial + p_parallel);
+  const double p_hat = 0.5 * (p_single + p_multi);
   const double sigma =
       std::sqrt(2.0 * p_hat * (1.0 - p_hat) / static_cast<double>(theta));
   EXPECT_GT(p_hat, 0.0);
-  EXPECT_NEAR(p_serial, p_parallel, 5.0 * sigma + 1e-9);
+  EXPECT_NEAR(p_single, p_multi, 5.0 * sigma + 1e-9);
 }
 
-TEST(SamplingEngineAgreementTest, PoolCoverageAcrossBackends) {
+TEST(SamplingEngineAgreementTest, OneVsFourThreadPoolCoverage) {
   const Graph g = TestGraph(1000);
   const uint64_t count = 65536;
   const NodeId u = 1;
 
-  Rng serial_rng(10);
-  SerialSamplingEngine serial(g);
-  const RRCollection& serial_pool =
-      serial.GeneratePool(nullptr, g.num_nodes(), count, &serial_rng);
-  const double f_serial =
-      static_cast<double>(serial_pool.CoverageOfNode(u)) / count;
+  Rng single_rng(10);
+  RRSamplingEngine single(g);
+  const RRCollection& single_pool =
+      single.GeneratePool(nullptr, g.num_nodes(), count, &single_rng);
+  const double f_single =
+      static_cast<double>(single_pool.CoverageOfNode(u)) / count;
 
-  Rng parallel_rng(20);
-  ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
-  const RRCollection& parallel_pool =
-      parallel.GeneratePool(nullptr, g.num_nodes(), count, &parallel_rng);
-  ASSERT_EQ(parallel_pool.num_sets(), count);
-  const double f_parallel =
-      static_cast<double>(parallel_pool.CoverageOfNode(u)) / count;
+  Rng multi_rng(20);
+  RRSamplingEngine multi(g, DiffusionModel::kIndependentCascade, 4);
+  const RRCollection& multi_pool =
+      multi.GeneratePool(nullptr, g.num_nodes(), count, &multi_rng);
+  ASSERT_EQ(multi_pool.num_sets(), count);
+  const double f_multi =
+      static_cast<double>(multi_pool.CoverageOfNode(u)) / count;
 
-  const double p_hat = 0.5 * (f_serial + f_parallel);
+  const double p_hat = 0.5 * (f_single + f_multi);
   const double sigma =
       std::sqrt(2.0 * p_hat * (1.0 - p_hat) / static_cast<double>(count));
-  EXPECT_NEAR(f_serial, f_parallel, 5.0 * sigma + 1e-9);
+  EXPECT_NEAR(f_single, f_multi, 5.0 * sigma + 1e-9);
+}
+
+// How far each query advances the caller's Rng (the rule stated on
+// SamplingEngine): a one-thread pool fill by every draw its generator
+// makes, a multi-thread pool fill and every count by exactly one draw.
+
+void ExpectAdvancedBy(Rng rng, uint64_t seed, uint64_t draws) {
+  Rng expected(seed);
+  for (uint64_t i = 0; i < draws; ++i) expected.Next();
+  EXPECT_EQ(rng.Next(), expected.Next()) << "expected " << draws << " draws";
+}
+
+TEST(CallerStreamTest, OneThreadPoolFillAdvancesByGeneratorDraws) {
+  const Graph g = TestGraph(300);
+  RRSamplingEngine engine(g);
+  Rng rng(31);
+  engine.GeneratePool(nullptr, g.num_nodes(), 2000, &rng);
+  EXPECT_GT(engine.stats().rng_draws, 2000u);  // >= 1 root draw per set
+  ExpectAdvancedBy(rng, 31, engine.stats().rng_draws);
+}
+
+TEST(CallerStreamTest, MultiThreadPoolFillAdvancesByOneDraw) {
+  const Graph g = TestGraph(300);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
+  for (uint64_t count : {uint64_t{512}, 2 * kMinParallelBatch}) {
+    Rng rng(32);
+    engine.GeneratePool(nullptr, g.num_nodes(), count, &rng);
+    ExpectAdvancedBy(rng, 32, 1);
+  }
+}
+
+TEST(CallerStreamTest, CountAdvancesByOneDrawAtAnyThreadCount) {
+  const Graph g = TestGraph(300);
+  for (uint32_t threads : {1u, 4u}) {
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, threads);
+    for (uint64_t theta : {uint64_t{512}, 2 * kMinParallelBatch}) {
+      Rng rng(33);
+      engine.CountConditionalCoverage(0, nullptr, nullptr, g.num_nodes(),
+                                      theta, &rng);
+      ExpectAdvancedBy(rng, 33, 1);
+    }
+  }
 }
 
 // (d) Batched vs unbatched estimates: a one-query CoverageQueryBatch is the
-// same code path as CountConditionalCoverage (bit-identity on the serial
-// backend), and a two-query batch agrees with per-query sampling within
-// concentration bounds on every backend (±3σ).
+// same code path as CountConditionalCoverage (bit-identity on one thread),
+// and a two-query batch agrees with per-query sampling within
+// concentration bounds at every thread count (±3σ).
 
-TEST(SamplingEngineBatchTest, OneQueryBatchBitIdenticalOnSerialBackend) {
+TEST(SamplingEngineBatchTest, OneQueryBatchBitIdenticalOnOneThread) {
   const Graph g = TestGraph(400);
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 40; ++v) base.Set(v);
   const uint64_t theta = 30000;
 
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   Rng batch_rng(55);
   CoverageQueryBatch batch;
   batch.Add(0, &base);
@@ -320,7 +362,7 @@ TEST(SamplingEngineBatchTest, OneQueryBatchBitIdenticalOnSerialBackend) {
   EXPECT_EQ(batch_rng.Next(), query_rng.Next());  // same caller stream use
 }
 
-TEST(SamplingEngineBatchTest, BatchedEstimatesAgreeAcrossBackends) {
+TEST(SamplingEngineBatchTest, BatchedEstimatesAgreeAcrossThreadCounts) {
   const Graph g = TestGraph(1000);
   BitVector front(g.num_nodes());
   for (NodeId v = 10; v < 25; ++v) front.Set(v);
@@ -328,22 +370,23 @@ TEST(SamplingEngineBatchTest, BatchedEstimatesAgreeAcrossBackends) {
   for (NodeId v = 60; v < 200; ++v) rear.Set(v);
   const uint64_t theta = 200000;
 
-  // Serial batched estimate vs parallel unbatched per-query estimates: the
-  // batch layer must not move the estimand, only the sampling layout.
-  SerialSamplingEngine serial(g);
+  // One-thread batched estimate vs four-thread unbatched per-query
+  // estimates: the batch layer must not move the estimand, only the
+  // sampling layout.
+  RRSamplingEngine single(g);
   CoverageQueryBatch batch;
   batch.Add(0, &front);
   batch.Add(0, &rear);
-  Rng serial_rng(808);
-  serial.CountCoverageBatch(&batch, nullptr, g.num_nodes(), theta,
-                            &serial_rng);
+  Rng single_rng(808);
+  single.CountCoverageBatch(&batch, nullptr, g.num_nodes(), theta,
+                            &single_rng);
 
-  ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
-  Rng parallel_rng(909);
-  const uint64_t front_hits = parallel.CountConditionalCoverage(
-      0, &front, nullptr, g.num_nodes(), theta, &parallel_rng);
-  const uint64_t rear_hits = parallel.CountConditionalCoverage(
-      0, &rear, nullptr, g.num_nodes(), theta, &parallel_rng);
+  RRSamplingEngine multi(g, DiffusionModel::kIndependentCascade, 4);
+  Rng multi_rng(909);
+  const uint64_t front_hits = multi.CountConditionalCoverage(
+      0, &front, nullptr, g.num_nodes(), theta, &multi_rng);
+  const uint64_t rear_hits = multi.CountConditionalCoverage(
+      0, &rear, nullptr, g.num_nodes(), theta, &multi_rng);
 
   const uint64_t unbatched[2] = {front_hits, rear_hits};
   for (int q = 0; q < 2; ++q) {
@@ -359,56 +402,7 @@ TEST(SamplingEngineBatchTest, BatchedEstimatesAgreeAcrossBackends) {
   }
 }
 
-// Factory / knob resolution.
-
-TEST(CreateSamplingEngineTest, AutoResolvesByThreadCount) {
-  const Graph g = TestGraph(100);
-  SamplingEngineOptions options;
-  options.backend = SamplingBackend::kAuto;
-  options.num_threads = 1;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "serial");
-  options.num_threads = 4;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "parallel");
-  options.backend = SamplingBackend::kSerial;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "serial");
-}
-
-TEST(CreateSamplingEngineTest, ExplicitParallelWithOneThreadDegradesToSerial) {
-  // A one-worker pool routes every query through its inline serial path, so
-  // the factory skips the worker-thread + condvar machinery entirely. The
-  // engine consequently reports name() == "serial" even though the option
-  // said kParallel.
-  const Graph g = TestGraph(100);
-  SamplingEngineOptions options;
-  options.backend = SamplingBackend::kParallel;
-  options.num_threads = 1;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "serial");
-  options.num_threads = 2;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "parallel");
-}
-
-TEST(SamplingBackendTest, Names) {
-  EXPECT_STREQ(SamplingBackendName(SamplingBackend::kSerial), "serial");
-  EXPECT_STREQ(SamplingBackendName(SamplingBackend::kParallel), "parallel");
-  EXPECT_STREQ(SamplingBackendName(SamplingBackend::kAuto), "auto");
-}
-
-// Shard merge primitive used by the parallel backend.
+// Shard merge primitive used by the worker pool.
 
 TEST(RRCollectionAppendShardTest, MatchesPerSetInsertion) {
   RRCollection by_set(10);
@@ -439,7 +433,6 @@ TEST(RRCollectionAppendShardTest, MatchesPerSetInsertion) {
 TEST(SamplingEngineHandleTest, CachesOwnedEngineAndHonorsInjection) {
   const Graph g = TestGraph(100);
   SamplingEngineOptions options;
-  options.backend = SamplingBackend::kSerial;
 
   SamplingEngineHandle handle;
   SamplingEngine* first =
@@ -448,13 +441,12 @@ TEST(SamplingEngineHandleTest, CachesOwnedEngineAndHonorsInjection) {
       handle.Get(g, DiffusionModel::kIndependentCascade, options);
   EXPECT_EQ(first, second);  // cached across calls
 
-  options.backend = SamplingBackend::kParallel;
   options.num_threads = 2;
   SamplingEngine* third =
       handle.Get(g, DiffusionModel::kIndependentCascade, options);
-  EXPECT_EQ(third->name(), "parallel");
+  EXPECT_EQ(third->num_workers(), 2u);  // rebuilt for the new thread count
 
-  SerialSamplingEngine external(g);
+  RRSamplingEngine external(g);
   handle.Use(&external);
   EXPECT_EQ(handle.Get(g, DiffusionModel::kIndependentCascade, options),
             &external);

@@ -64,7 +64,7 @@ constexpr uint64_t kGoldenPoolNodes = 9141u;
 
 uint64_t SerialGoldenPoolHash() {
   const Graph g = WcGraph();
-  SerialSamplingEngine engine(g);
+  RRSamplingEngine engine(g);
   Rng rng(77);
   const RRCollection& pool =
       engine.GeneratePool(nullptr, g.num_nodes(), 2000, &rng);
@@ -77,8 +77,7 @@ uint64_t ParallelGoldenSeededCount() {
   const Graph g = WcGraph();
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
-  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
-                                4096);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
   return engine.CountConditionalCoverageSeeded(0, &base, nullptr,
                                                g.num_nodes(), 60000, 42);
 }
@@ -89,7 +88,6 @@ Result<AdaptiveRunResult> RunGoldenHatp() {
       BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
   EXPECT_TRUE(selection.ok()) << selection.status().ToString();
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   HatpPolicy policy(hopt);
   Rng world_rng(42);
   AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
