@@ -348,7 +348,7 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
 
   const LoopMetrics& metrics = LoopMetrics::Get();
   result->steps.reserve(k);
-  SpeculativeRoundPlanner planner(spec.sampling, problem.targets);
+  SpeculativeRoundPlanner planner(spec.sampling, problem.targets, result);
 
   // Run-level resource envelope: the gate is polled by the engine at batch
   // boundaries and by the planner before each sampled round. Inactive
@@ -543,7 +543,6 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
   result->achieved_theta = (!any_estimate_decision || any_blind_decision)
                                ? 0
                                : min_decided_theta;
-  planner.ExportStats(result);
   return Status::OK();
 }
 

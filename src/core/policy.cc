@@ -67,23 +67,20 @@ void FinalizeAdaptiveResult(const ProfitProblem& problem,
 }
 
 SpeculativeRoundPlanner::SpeculativeRoundPlanner(
-    const SamplingOptions& sampling, std::span<const NodeId> targets)
+    const SamplingOptions& sampling, std::span<const NodeId> targets,
+    DecisionLoopTelemetry* telemetry)
     : batched_(sampling.batched_rounds),
       // Speculation shares a round's pool, so it needs batched rounds; the
       // literal two-pool sampling ignores the window.
       window_(sampling.batched_rounds ? sampling.lookahead_window : 0),
-      adaptive_(sampling.adaptive_lookahead),
-      base_window_(window_),
-      discard_threshold_(sampling.lookahead_discard_threshold),
-      targets_(targets) {
-  max_window_ = adaptive_
-                    ? std::max(window_, sampling.max_lookahead_window)
-                    : window_;
+      targets_(targets),
+      telemetry_(telemetry) {
   if (window_ > 0) {
     entries_.resize(targets.size());
-    // Pre-sized to the widest window the adaptive controller may reach, so
-    // the batch's base pointers stay stable however far it widens.
-    rear_bases_.resize(max_window_);
+    // One snapshot per window slot, pre-sized so the batch's base pointers
+    // stay stable. No candidate has more than |T| - 1 successors to
+    // speculate on, so a wider window never fills more slots.
+    rear_bases_.resize(std::min<size_t>(window_, targets.size()));
   }
 }
 
@@ -93,47 +90,24 @@ void SpeculativeRoundPlanner::Begin(size_t position, [[maybe_unused]] NodeId u,
   active_.reset();
   if (window_ == 0) return;
   ATPM_DCHECK(position < targets_.size() && targets_[position] == u);
-  if (adaptive_) {
-    if (!epoch_seen_ || epoch != last_epoch_) {
-      // A seeding just voided every in-flight answer; restart narrow so the
-      // next pools don't pay for speculation that cannot survive another
-      // imminent selection streak.
-      window_ = base_window_;
-      epoch_seen_ = true;
-      last_epoch_ = epoch;
-    } else if (window_ < max_window_) {
-      // The residual graph held still: widen while the realized discard
-      // rate says speculated answers are actually being consumed.
-      const uint64_t resolved = stats_.hits + stats_.misses;
-      const double rate =
-          resolved == 0
-              ? 0.0
-              : static_cast<double>(stats_.discarded) /
-                    static_cast<double>(resolved);
-      if (rate < discard_threshold_) {
-        window_ = std::min<uint32_t>(window_ * 2, max_window_);
-      }
-    }
-  }
-  window_trace_.push_back(window_);
-  // The per-planner stats stay the exact source the run result exports;
-  // the global counters are a scrape-time mirror of the same events.
+  // The run's telemetry is the exact source; the global counters are a
+  // scrape-time mirror of the same events.
   const PolicyMetrics& metrics = PolicyMetrics::Get();
   Entry& entry = entries_[position];
   if (!entry.valid) {
-    ++stats_.misses;
+    ++telemetry_->speculation_misses;
     metrics.spec_misses->Increment();
     return;
   }
   entry.valid = false;  // one-shot either way
   if (entry.epoch != epoch || entry.theta < min_theta) {
-    ++stats_.discarded;
-    ++stats_.misses;
+    ++telemetry_->speculation_discarded;
+    ++telemetry_->speculation_misses;
     metrics.spec_discards->Increment();
     metrics.spec_misses->Increment();
     return;
   }
-  ++stats_.hits;
+  ++telemetry_->speculation_hits;
   metrics.spec_hits->Increment();
   active_ = FirstRoundAnswer{entry.front_hits, entry.rear_hits, entry.theta};
 }
@@ -172,15 +146,6 @@ Result<SpeculativeRoundPlanner::RoundStep> SpeculativeRoundPlanner::NextRound(
   return hits->theta == theta ? RoundStep::kSampled : RoundStep::kDegraded;
 }
 
-void SpeculativeRoundPlanner::ExportStats(DecisionLoopTelemetry* result) const {
-  result->speculation_hits = stats_.hits;
-  result->speculation_rounds_served = stats_.rounds_served;
-  result->speculation_misses = stats_.misses;
-  result->speculation_discarded = stats_.discarded;
-  result->speculative_queries = stats_.speculative_queries;
-  result->lookahead_window_trace = window_trace_;
-}
-
 std::optional<SpeculativeRoundPlanner::FirstRoundAnswer>
 SpeculativeRoundPlanner::Serve(uint64_t theta) {
   if (!active_.has_value()) return std::nullopt;
@@ -190,7 +155,7 @@ SpeculativeRoundPlanner::Serve(uint64_t theta) {
     active_.reset();
     return std::nullopt;
   }
-  ++stats_.rounds_served;
+  ++telemetry_->speculation_rounds_served;
   return active_;
 }
 
@@ -231,7 +196,7 @@ void SpeculativeRoundPlanner::AddSpeculativeQueries(
     pending_.push_back(pending);
     ++covered;
   }
-  stats_.speculative_queries += 2 * pending_.size();
+  telemetry_->speculative_queries += 2 * pending_.size();
 }
 
 Result<FrontRearHits> SpeculativeRoundPlanner::SampleRound(

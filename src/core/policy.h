@@ -139,11 +139,6 @@ struct DecisionLoopTelemetry {
   uint64_t speculation_discarded = 0;
   /// Speculative cross-candidate queries appended to round pools.
   uint64_t speculative_queries = 0;
-  /// Lookahead window in effect at each speculating candidate examination
-  /// (one entry per Begin while speculation is active; empty otherwise).
-  /// Under a fixed window this is constant; under adaptive_lookahead it
-  /// shows the widen/reset trajectory.
-  std::vector<uint32_t> lookahead_window_trace;
   /// Decisions forced to conclude early (RunBudget, RR cap, allocation
   /// failure), in examination order. Empty = every decision ran its full
   /// error schedule and the requested guarantee holds.
@@ -198,8 +193,8 @@ class AdaptivePolicy {
   /// Injects an external SamplingEngine (not owned; nullptr restores the
   /// policy's own). Default no-op: oracle-model and baseline policies don't
   /// sample. RIS-backed policies (ADDATP, HATP) route all sampling through
-  /// it — the hook ExperimentRunner uses to share round pools across
-  /// worlds.
+  /// it — the hook a caller uses to wrap the engine in a decorator, such as
+  /// the benchmark's per-call timing engine.
   virtual void set_engine(SamplingEngine* /*engine*/) {}
 };
 
@@ -229,18 +224,6 @@ struct FrontRearHits {
   /// Coverage queries the sampled pool(s) answered, including speculative
   /// lookahead queries (0 for a speculation-served round).
   uint64_t queries = 0;
-};
-
-/// Running telemetry of the speculative pipelining layer (mirrored into
-/// the DecisionLoopTelemetry after a run).
-struct SpeculationStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t discarded = 0;
-  uint64_t speculative_queries = 0;
-  /// Halving rounds served from stored answers (>= hits: one stored answer
-  /// covers every round whose required θ fits inside its pool).
-  uint64_t rounds_served = 0;
 };
 
 /// The sampling step of the k-sequential double-greedy loops, extended with
@@ -280,9 +263,12 @@ struct SpeculationStats {
 class SpeculativeRoundPlanner {
  public:
   /// `targets` is the policy's examination order; it must outlive the
-  /// planner and sizes the per-candidate answer store.
+  /// planner and sizes the per-candidate answer store. The planner counts
+  /// its speculation_* and speculative_queries events straight into
+  /// `telemetry` (not owned; must outlive the planner).
   SpeculativeRoundPlanner(const SamplingOptions& sampling,
-                          std::span<const NodeId> targets);
+                          std::span<const NodeId> targets,
+                          DecisionLoopTelemetry* telemetry);
 
   /// A stored first-round answer (hit counts over a pool of `theta` sets).
   struct FirstRoundAnswer {
@@ -311,9 +297,9 @@ class SpeculativeRoundPlanner {
   /// Moves the cursor to targets[position] (== u) and activates the stored
   /// speculative answer for u if it is still valid under `epoch` and large
   /// enough for a first round of `min_theta` sets (a hit). Stale or
-  /// undersized entries are discarded (counted in stats); a usable-answer-
-  /// less start while speculation is enabled counts a miss. Rounds are then
-  /// run through NextRound().
+  /// undersized entries are discarded (counted in telemetry); a start
+  /// without a usable answer while speculation is enabled counts a miss.
+  /// Rounds are then run through NextRound().
   void Begin(size_t position, NodeId u, uint64_t epoch, uint64_t min_theta);
 
   /// One halving round for u. Serves from the active answer while it still
@@ -343,13 +329,6 @@ class SpeculativeRoundPlanner {
 
   /// Whether rounds share one pool (speculation requires it).
   bool batched() const { return batched_; }
-  /// Whether speculative lookahead is active (batched and window > 0).
-  bool speculating() const { return window_ > 0; }
-
-  const SpeculationStats& stats() const { return stats_; }
-
-  /// Copies the speculation_* telemetry and the window trace into `result`.
-  void ExportStats(DecisionLoopTelemetry* result) const;
 
  private:
   struct Entry {
@@ -388,18 +367,10 @@ class SpeculativeRoundPlanner {
                              uint64_t theta);
 
   bool batched_ = true;
-  /// Window in effect for the candidate under examination (fixed, or the
-  /// adaptive trajectory between base_window_ and max_window_).
+  /// Upcoming candidates each sampled pool speculates on (0 = inert).
   uint32_t window_ = 0;
-  bool adaptive_ = false;
-  uint32_t base_window_ = 0;
-  uint32_t max_window_ = 0;
-  double discard_threshold_ = 0.0;
-  /// Epoch seen by the previous speculating Begin (adaptive reset signal).
-  uint64_t last_epoch_ = 0;
-  bool epoch_seen_ = false;
-  std::vector<uint32_t> window_trace_;
   std::span<const NodeId> targets_;
+  DecisionLoopTelemetry* telemetry_;
   size_t position_ = 0;
   /// The answer activated by Begin for the candidate under examination.
   std::optional<FirstRoundAnswer> active_;
@@ -411,7 +382,6 @@ class SpeculativeRoundPlanner {
   BitVector running_rear_;
   CoverageQueryBatch batch_;
   std::vector<PendingAnswer> pending_;
-  SpeculationStats stats_;
 };
 
 /// RR sets a round will draw under the given batching mode (the budget-

@@ -69,22 +69,6 @@ struct SamplingOptions {
   /// default) disables speculation and is bit-identical to plain batched
   /// rounds for a fixed seed. Requires batched_rounds; ignored otherwise.
   uint32_t lookahead_window = 0;
-  /// Adaptive window control: when true (and speculation is active, i.e.
-  /// lookahead_window > 0 with batched rounds), the window widens
-  /// geometrically up to max_lookahead_window while the observed discard
-  /// rate stays below lookahead_discard_threshold, and resets to
-  /// lookahead_window whenever the residual-graph epoch moves (a seeding
-  /// voids every in-flight answer, so a wide window right after one only
-  /// buys wasted queries). Decision sequences are identical to any fixed
-  /// window — speculation serves the exact answers a native first round
-  /// would compute; only the sampling layout adapts.
-  bool adaptive_lookahead = false;
-  /// Widest window adaptive control may reach (clamped to at least
-  /// lookahead_window).
-  uint32_t max_lookahead_window = 64;
-  /// Discard-rate bar for widening: while discarded / resolved candidates
-  /// stays below this, a stable residual graph keeps doubling the window.
-  double lookahead_discard_threshold = 0.25;
   /// RR-generation kernel. The default geometric-jump kernel is
   /// statistically equivalent to the historical per-edge loop but consumes
   /// a different RNG stream; set kPerEdge to reproduce pre-kernel decision

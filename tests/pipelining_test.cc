@@ -5,7 +5,7 @@
 // speculative answers.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/bit_vector.h"
@@ -323,97 +323,40 @@ TEST(SpeculativePipeliningTest, UnbatchedRoundsIgnoreTheWindow) {
   EXPECT_EQ(run.total_coverage_queries, run.total_count_pools);
 }
 
-// --- Adaptive lookahead: the window controller changes only the sampling
-// layout (how many speculative queries ride each pool), never decisions.
-
-TEST(AdaptiveLookaheadTest, DecisionsMatchFixedWindowAndTraceWidens) {
-  const Graph g = TestGraph(2000);
-  const ProfitProblem problem = CalibratedProblem(g);
-
-  HatpOptions options;
-  options.sampling.kernel = SamplingKernel::kPerEdge;
-  options.sampling.lookahead_window = 1;
-  const AdaptiveRunResult fixed = RunPolicy<HatpPolicy>(g, problem, options,
-                                                        /*world_seed=*/42);
-  // A fixed window traces as a constant.
-  ASSERT_FALSE(fixed.lookahead_window_trace.empty());
-  for (uint32_t w : fixed.lookahead_window_trace) EXPECT_EQ(w, 1u);
-
-  options.sampling.adaptive_lookahead = true;
-  options.sampling.max_lookahead_window = 16;
-  // This instance seeds often, so discards pile up fast; a permissive bar
-  // keeps the controller widening on every stationary (abandon) streak —
-  // the reset-on-seeding behavior is what this instance exercises.
-  options.sampling.lookahead_discard_threshold = 0.95;
-  const AdaptiveRunResult adaptive =
-      RunPolicy<HatpPolicy>(g, problem, options, /*world_seed=*/42);
-
-  // Same decisions as the fixed window (and hence as window 0, by the
-  // equivalence suite above): speculation serves identical answers.
-  EXPECT_EQ(adaptive.seeds, fixed.seeds);
-  ASSERT_EQ(adaptive.steps.size(), fixed.steps.size());
-  for (size_t i = 0; i < adaptive.steps.size(); ++i) {
-    EXPECT_EQ(adaptive.steps[i].decision, fixed.steps[i].decision)
-        << "step " << i;
-  }
-
-  // The trace starts at the base window, widens somewhere (the calibrated
-  // instance has abandon streaks that hold the epoch still), never exceeds
-  // the cap, and every widening step at most doubles.
-  ASSERT_EQ(adaptive.lookahead_window_trace.size(),
-            fixed.lookahead_window_trace.size());
-  const std::vector<uint32_t>& trace = adaptive.lookahead_window_trace;
-  EXPECT_EQ(trace.front(), 1u);
-  uint32_t widest = 0;
-  for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_GE(trace[i], 1u);
-    EXPECT_LE(trace[i], 16u);
-    if (i > 0) {
-      EXPECT_LE(trace[i], trace[i - 1] * 2);
-    }
-    widest = std::max(widest, trace[i]);
-  }
-  EXPECT_GT(widest, 1u);
-  // Every selection bumps the epoch, so each seed forces a reset to the
-  // base window at the next speculating examination.
-  if (adaptive.seeds.size() > 1) {
-    uint64_t resets = 0;
-    for (size_t i = 1; i < trace.size(); ++i) {
-      if (trace[i] == 1u && trace[i - 1] > 1u) ++resets;
-    }
-    EXPECT_GT(resets, 0u);
-  }
-  // A wider window speculates at least as much as the fixed one.
-  EXPECT_GE(adaptive.speculative_queries, fixed.speculative_queries);
-}
-
-TEST(AdaptiveLookaheadTest, StationaryEpochWidensGeometricallyToTheCap) {
-  // Overpriced targets: every examination abandons, the residual epoch
-  // never moves, and nothing is ever discarded — the controller's pure
-  // widening trajectory: base, 2x, 4x, ... capped at max_lookahead_window.
+TEST(SpeculativePipeliningTest, WindowBeyondTargetCountMatchesTargetCount) {
+  // No candidate has more than |T| - 1 successors to speculate on, so any
+  // window past |T| must behave exactly like |T| (and must not size its
+  // rear-base snapshots by the raw option).
   const Graph g = TestGraph(500);
-  ProfitProblem problem;
-  problem.graph = &g;
-  problem.costs.assign(g.num_nodes(), 0.0);
-  for (NodeId u = 0; u < 12; ++u) {
-    problem.targets.push_back(u);
-    problem.costs[u] = 500.0;  // above any possible spread
-  }
+  const ProfitProblem problem = CalibratedProblem(g, 10);
 
   HatpOptions options;
-  options.sampling.lookahead_window = 1;
-  options.sampling.adaptive_lookahead = true;
-  options.sampling.max_lookahead_window = 8;
-  const AdaptiveRunResult run = RunPolicy<HatpPolicy>(g, problem, options);
+  options.sampling.lookahead_window =
+      static_cast<uint32_t>(problem.targets.size());
+  const AdaptiveRunResult bounded = RunPolicy<HatpPolicy>(g, problem, options);
+  options.sampling.lookahead_window = UINT32_MAX;
+  const AdaptiveRunResult unbounded =
+      RunPolicy<HatpPolicy>(g, problem, options);
 
-  EXPECT_TRUE(run.seeds.empty());
-  EXPECT_EQ(run.speculation_discarded, 0u);
-  ASSERT_EQ(run.lookahead_window_trace.size(), problem.targets.size());
-  uint32_t expected = 1;
-  for (size_t i = 0; i < run.lookahead_window_trace.size(); ++i) {
-    EXPECT_EQ(run.lookahead_window_trace[i], expected) << "step " << i;
-    expected = std::min(expected * 2, 8u);
+  EXPECT_EQ(unbounded.seeds, bounded.seeds);
+  ASSERT_EQ(unbounded.steps.size(), bounded.steps.size());
+  for (size_t i = 0; i < bounded.steps.size(); ++i) {
+    EXPECT_EQ(unbounded.steps[i].decision, bounded.steps[i].decision)
+        << "step " << i;
+    EXPECT_EQ(unbounded.steps[i].rounds, bounded.steps[i].rounds);
+    EXPECT_EQ(unbounded.steps[i].rr_sets_used, bounded.steps[i].rr_sets_used);
+    EXPECT_EQ(unbounded.steps[i].coverage_queries,
+              bounded.steps[i].coverage_queries);
+    EXPECT_EQ(unbounded.steps[i].first_round_speculative,
+              bounded.steps[i].first_round_speculative);
   }
+  EXPECT_EQ(unbounded.speculation_hits, bounded.speculation_hits);
+  EXPECT_EQ(unbounded.speculation_rounds_served,
+            bounded.speculation_rounds_served);
+  EXPECT_EQ(unbounded.speculation_misses, bounded.speculation_misses);
+  EXPECT_EQ(unbounded.speculation_discarded, bounded.speculation_discarded);
+  EXPECT_EQ(unbounded.speculative_queries, bounded.speculative_queries);
+  EXPECT_GT(bounded.speculative_queries, 0u);
 }
 
 TEST(SpeculativePipeliningTest, EpochBumpDiscardsEveryInFlightAnswer) {

@@ -235,9 +235,7 @@ std::string RunSummary(const DecisionLoopTelemetry& r) {
        std::to_string(r.speculation_rounds_served) + "/" +
        std::to_string(r.speculation_misses) + "/" +
        std::to_string(r.speculation_discarded) + "/" +
-       std::to_string(r.speculative_queries) + " window=";
-  for (uint32_t w : r.lookahead_window_trace) s += std::to_string(w) + ",";
-  s += " degraded=";
+       std::to_string(r.speculative_queries) + " degraded=";
   for (const DegradationEvent& e : r.degradation_events) {
     s += std::string(DegradationReasonName(e.reason)) + ":" +
          std::to_string(e.node) + ":" + std::to_string(e.rounds_completed) +
@@ -316,7 +314,7 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunAddAtpGolden(AddAtpOptions{}, g, problem);
      },
      "seeds=2,7,18,17,9, rr=5516789 queries=196 pools=98 "
-     "max_iter=1151561 exhausted=0 truncated=0 spec=0/0/0/0/0 window= "
+     "max_iter=1151561 exhausted=0 truncated=0 spec=0/0/0/0/0 "
      "degraded= eps=0 additive=1.9999999999999998 theta=115482",
      "2:0:11:367204:22:0 4:1:13:1151561:26:0 7:0:13:1151561:26:0 "
      "18:0:13:1020066:26:0 13:2:0:0:0:0 17:0:11:221502:22:0 "
@@ -330,7 +328,7 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunAddAtpGolden(options, g, problem);
      },
      "seeds=2,7,18,17,9, rr=4921536 queries=192 pools=96 "
-     "max_iter=1151561 exhausted=0 truncated=0 spec=0/0/0/0/0 window= "
+     "max_iter=1151561 exhausted=0 truncated=0 spec=0/0/0/0/0 "
      "degraded= eps=0 additive=2.8284271247461876 theta=66343",
      "2:0:11:367204:22:0 4:1:10:126989:20:0 7:0:13:1151561:26:0 "
      "18:0:13:1020066:26:0 13:2:0:0:0:0 17:0:11:221502:22:0 "
@@ -344,7 +342,7 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunAddAtpGolden(options, g, problem);
      },
      "seeds=2,4,17,9, rr=957206 queries=160 pools=80 max_iter=175759 "
-     "exhausted=0 truncated=8 spec=0/0/0/0/0 window= "
+     "exhausted=0 truncated=8 spec=0/0/0/0/0 "
      "degraded=rr-budget:2:10:191445:91824;"
      "rr-budget:4:10:138319:66343;rr-budget:7:10:127683:61242;"
      "rr-budget:18:10:127683:61242;rr-budget:17:10:127683:61242;"
@@ -360,7 +358,7 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunHntpGolden(HatpOptions{}, problem);
      },
      "seeds=2,18,9,22, rr=1182856 queries=218 pools=109 "
-     "max_iter=128224 exhausted=0 truncated=0 spec=0/0/0/0/0 window= "
+     "max_iter=128224 exhausted=0 truncated=0 spec=0/0/0/0/0 "
      "degraded= eps=0.050000000000000003 additive=1 theta=39094",
      "2:0:11:103714:22:0 4:1:11:122179:22:0 7:1:11:122179:22:0 "
      "18:0:11:122179:22:0 13:1:11:127000:22:0 17:1:11:127000:22:0 "
@@ -374,7 +372,7 @@ const LoopGoldenCase kLoopGoldens[] = {
      },
      "seeds=2,18,17,9, rr=608117 queries=460 pools=55 max_iter=127000 "
      "exhausted=0 truncated=0 spec=5/53/5/4/350 "
-     "window=4,4,4,4,4,4,4,4,4,4, degraded= eps=0.050000000000000003 "
+     "degraded= eps=0.050000000000000003 "
      "additive=1.4142135623730949 theta=39094",
      "2:0:11:103714:110:0 4:1:11:122179:110:0 7:1:10:0:0:1 "
      "18:0:11:0:0:1 13:1:11:127000:110:0 17:0:11:0:0:1 "
@@ -387,7 +385,7 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunHatpGolden(options, g, problem);
      },
      "seeds=2,7,18,17,9, rr=1324312 queries=168 pools=168 "
-     "max_iter=207704 exhausted=0 truncated=0 spec=0/0/0/0/0 window= "
+     "max_iter=207704 exhausted=0 truncated=0 spec=0/0/0/0/0 "
      "degraded= eps=0.050000000000000003 additive=1.9999999999999991 "
      "theta=7203",
      "2:0:11:207428:22:0 4:1:11:207704:22:0 7:0:11:207704:22:0 "
@@ -402,25 +400,10 @@ const LoopGoldenCase kLoopGoldens[] = {
      },
      "seeds=2,7,17,9, rr=492695 queries=418 pools=55 max_iter=103714 "
      "exhausted=0 truncated=0 spec=3/30/5/4/308 "
-     "window=4,4,4,4,4,4,4,4, degraded= eps=0.050000000000000003 "
+     "degraded= eps=0.050000000000000003 "
      "additive=1.4142135623730949 theta=37289",
      "2:0:11:103714:110:0 4:1:11:103089:110:0 7:0:11:0:0:1 "
      "18:1:11:97027:110:0 13:2:0:0:0:0 17:0:9:0:0:1 8:1:11:94405:66:0 "
-     "9:0:10:0:0:1 41:1:11:94460:22:0 22:2:0:0:0:0 "},
-    {"HatpAdaptiveLookahead",
-     [](const Graph& g, const ProfitProblem& problem) {
-       HatpOptions options;
-       options.sampling.lookahead_window = 2;
-       options.sampling.adaptive_lookahead = true;
-       options.sampling.lookahead_discard_threshold = 1.0;  // always widen
-       return RunHatpGolden(options, g, problem);
-     },
-     "seeds=2,7,17,9, rr=492695 queries=286 pools=55 max_iter=103714 "
-     "exhausted=0 truncated=0 spec=3/30/5/4/176 "
-     "window=2,2,4,2,4,2,4,2, degraded= eps=0.050000000000000003 "
-     "additive=1.4142135623730949 theta=37289",
-     "2:0:11:103714:66:0 4:1:11:103089:66:0 7:0:11:0:0:1 "
-     "18:1:11:97027:66:0 13:2:0:0:0:0 17:0:9:0:0:1 8:1:11:94405:66:0 "
      "9:0:10:0:0:1 41:1:11:94460:22:0 22:2:0:0:0:0 "},
     {"HatpRrCapTruncated",
      [](const Graph& g, const ProfitProblem& problem) {
@@ -430,7 +413,7 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunHatpGolden(options, g, problem);
      },
      "seeds=2,7,17,9, rr=231853 queries=144 pools=72 max_iter=30931 "
-     "exhausted=0 truncated=8 spec=0/0/0/0/0 window= "
+     "exhausted=0 truncated=8 spec=0/0/0/0/0 "
      "degraded=rr-budget:2:9:24235:11580;rr-budget:4:9:29132:15879;"
      "rr-budget:7:9:29132:15879;rr-budget:18:9:27419:14945;"
      "rr-budget:17:9:27419:14945;rr-budget:8:9:29060:14122;"

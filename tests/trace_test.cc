@@ -3,7 +3,8 @@
 // dropped-event count, export loadable Chrome trace_event JSON, round-trip
 // through the compact binary format, and — the contract the whole
 // observability layer stands on — leave every sampling stream and adaptive
-// decision bit-identical whether tracing/metrics are off or on.
+// decision bit-identical whether tracing/metrics are off or on. The
+// registry's mirror counters must also equal the run's own telemetry.
 #include "common/trace.h"
 
 #include <gtest/gtest.h>
@@ -349,6 +350,57 @@ TEST_F(TraceTest, HatpDecisionSequenceGoldenHoldsWithTracingOnAndOff) {
   obs::SetMetricsEnabled(false);
   obs::SetTraceEnabled(false);
   ExpectGoldenHatp(RunGoldenHatp());
+}
+
+// Value of the counter `name` in a Prometheus export (the registry has no
+// by-name lookup; the export is its read path).
+uint64_t PromCounter(const std::string& prom, const std::string& name) {
+  const std::string line = "\n" + name + " ";
+  const size_t at = prom.find(line);
+  EXPECT_NE(at, std::string::npos) << name;
+  if (at == std::string::npos) return 0;
+  return std::stoull(prom.substr(at + line.size()));
+}
+
+TEST_F(TraceTest, RegistryMirrorsMatchTheRunsExactCounts) {
+  // The registry counters mirror the run's own telemetry event for event;
+  // a pipelined HATP run exercises every mirrored series, speculation
+  // included.
+  obs::SetMetricsEnabled(true);
+  const Graph g = WcGraph();
+  Result<TargetSelectionResult> selection =
+      BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  HatpOptions options;
+  options.sampling.lookahead_window = 4;
+  HatpPolicy policy(options);
+  Rng world_rng(42);
+  AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
+  Rng rng(1);
+  obs::MetricsRegistry::Global().ResetValues();
+  Result<AdaptiveRunResult> run =
+      policy.Run(selection.value().problem, &env, &rng);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const AdaptiveRunResult& r = run.value();
+  ASSERT_GT(r.speculation_hits, 0u);
+  ASSERT_GT(r.speculation_discarded, 0u);
+
+  uint64_t rounds = 0;
+  for (const AdaptiveStepRecord& step : r.steps) rounds += step.rounds;
+  const std::string prom = obs::MetricsRegistry::Global().ExportPrometheus();
+  EXPECT_EQ(PromCounter(prom, "atpm_decisions_total"), r.steps.size());
+  EXPECT_EQ(PromCounter(prom, "atpm_decision_rounds_total"), rounds);
+  EXPECT_EQ(PromCounter(prom, "atpm_speculation_hits_total"),
+            r.speculation_hits);
+  EXPECT_EQ(PromCounter(prom, "atpm_speculation_misses_total"),
+            r.speculation_misses);
+  EXPECT_EQ(PromCounter(prom, "atpm_speculation_discards_total"),
+            r.speculation_discarded);
+  EXPECT_EQ(PromCounter(prom, "atpm_rr_sets_generated_total"),
+            r.total_rr_sets);
+  EXPECT_EQ(PromCounter(prom, "atpm_count_pools_total"), r.total_count_pools);
+  EXPECT_EQ(PromCounter(prom, "atpm_coverage_queries_total"),
+            r.total_coverage_queries);
 }
 
 }  // namespace
