@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "core/cost_model.h"
+#include "core/target_selection.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/weighting.h"
 
 namespace atpm {
 namespace {
@@ -162,6 +167,140 @@ TEST(NsgNdgTest, ValidateProblemFailures) {
   Rng rng(12);
   EXPECT_FALSE(RunNsg(bad, 100, &rng).ok());
   EXPECT_FALSE(RunNdg(bad, 100, &rng).ok());
+}
+
+// --- Fixed-seed goldens: exact seeds, estimated profit and pool size of NSG
+// and NDG, on an instance with |T| much smaller than n (one and four
+// sampling threads) and on the T = V derivation path. A mismatch is a
+// behaviour change, never a reason to re-record.
+
+Graph GoldenGraph(NodeId n) {
+  Rng rng(7);
+  BarabasiAlbertOptions options;
+  options.num_nodes = n;
+  options.edges_per_node = 3;
+  Graph g = GenerateBarabasiAlbert(options, &rng).value();
+  ApplyWeightedCascade(&g);
+  return g;
+}
+
+std::string Exact(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", x);
+  return buf;
+}
+
+std::string Summary(const Result<NonadaptiveResult>& result) {
+  if (!result.ok()) return result.status().ToString();
+  std::string s = "seeds=";
+  for (NodeId v : result.value().seeds) s += std::to_string(v) + ",";
+  return s + " rr=" + std::to_string(result.value().num_rr_sets) +
+         " profit=" + Exact(result.value().estimated_profit);
+}
+
+// 40 targets spread over a 2000-node graph, each priced at a fraction of
+// its out-degree so that some are worth seeding and some are not.
+ProfitProblem SparseTargetProblem(const Graph& g) {
+  ProfitProblem problem;
+  problem.graph = &g;
+  problem.costs.assign(g.num_nodes(), 0.0);
+  for (NodeId t = 0; t < g.num_nodes(); t += 50) {
+    problem.targets.push_back(t);
+    problem.costs[t] = 0.5 * static_cast<double>(g.OutDegree(t)) + 1.0;
+  }
+  return problem;
+}
+
+enum class Greedy { kNsg, kNdg };
+
+std::string RunGolden(Greedy greedy, const ProfitProblem& problem,
+                      uint32_t threads) {
+  RRSamplingEngine engine(*problem.graph, DiffusionModel::kIndependentCascade,
+                          threads);
+  Rng rng(21);
+  return Summary(greedy == Greedy::kNsg
+                     ? RunNsg(problem, 1 << 15, &rng, &engine)
+                     : RunNdg(problem, 1 << 15, &rng, &engine));
+}
+
+TEST(NonadaptiveGoldenTest, SparseTargets) {
+  const Graph g = GoldenGraph(2000);
+  const ProfitProblem problem = SparseTargetProblem(g);
+  EXPECT_EQ(RunGolden(Greedy::kNsg, problem, 1),
+      "seeds=0,50,300,850,100,200,1000,1750,1150,350,1900,1200,500,250,1050,"
+      "1450,550,800,650,600,1100,950,1400,1950,1600,1500,400,1300,1700,1850, "
+      "rr=32768 profit=65.72607421875");
+  EXPECT_EQ(RunGolden(Greedy::kNsg, problem, 4),
+      "seeds=0,50,200,100,850,600,300,550,1200,1150,1050,1300,400,1400,1000,"
+      "500,1900,1450,1950,250,1700,900,1350,1600,450,1500,1850,350,1750,1800, "
+      "rr=32768 profit=64.73779296875");
+  EXPECT_EQ(RunGolden(Greedy::kNdg, problem, 1),
+      "seeds=0,50,100,150,200,250,300,350,400,450,500,550,600,650,750,850,900,"
+      "950,1000,1050,1100,1150,1200,1300,1350,1400,1450,1500,1600,1700,1750,"
+      "1850,1900,1950, rr=32768 profit=64.82275390625");
+  EXPECT_EQ(RunGolden(Greedy::kNdg, problem, 4),
+      "seeds=0,50,100,200,250,300,350,400,450,500,550,600,700,750,850,900,950,"
+      "1000,1050,1150,1200,1300,1350,1400,1450,1500,1600,1700,1750,1800,1850,"
+      "1900,1950, rr=32768 profit=64.3671875");
+}
+
+// T = V: the greedy runs directly over every node with predefined costs.
+TEST(NonadaptiveGoldenTest, AllNodesAsTargets) {
+  const Graph g = GoldenGraph(400);
+  Rng cost_rng(5);
+  ProfitProblem problem;
+  problem.graph = &g;
+  problem.costs =
+      BuildPredefinedCosts(g, CostScheme::kDegreeProportional, 4.0, &cost_rng)
+          .value();
+  for (NodeId u = 0; u < g.num_nodes(); ++u) problem.targets.push_back(u);
+  EXPECT_EQ(RunGolden(Greedy::kNsg, problem, 1),
+      "seeds=2,137,89,329,381,356,389,399,175,304,345,195,284,352, rr=32768 "
+      "profit=13.798183621771869");
+  EXPECT_EQ(RunGolden(Greedy::kNsg, problem, 4),
+      "seeds=2,165,252,388,95,299,254,284,98,345,372,328,239,309,358,365, "
+      "rr=32768 profit=15.237982816983489");
+  EXPECT_EQ(RunGolden(Greedy::kNdg, problem, 1),
+      "seeds=190,219,239,273,284,288,301,304,311,312,314,329,332,341,347,349,"
+      "351,362,363,367,370,372,383,386,387,389,398,399, rr=32768 "
+      "profit=20.343674340925375");
+  EXPECT_EQ(RunGolden(Greedy::kNdg, problem, 4),
+      "seeds=95,146,188,205,239,254,284,290,299,301,303,311,334,339,340,344,"
+      "345,365,367,369,374,379,380,383,388,392,393,397, rr=32768 "
+      "profit=21.515549340925375");
+}
+
+std::string DerivedSummary(TargetMethod method, uint32_t threads) {
+  const Graph g = GoldenGraph(400);
+  TargetSelectionOptions options;
+  options.derive_rr_sets = 1 << 14;
+  options.bound_rr_sets = 1 << 14;
+  options.num_threads = threads;
+  Result<TargetSelectionResult> result = BuildPredefinedCostProblem(
+      g, 4.0, CostScheme::kDegreeProportional, method, options);
+  if (!result.ok()) return result.status().ToString();
+  std::string s = "targets=";
+  for (NodeId v : result.value().problem.targets) s += std::to_string(v) + ",";
+  return s + " rr=" +
+         std::to_string(result.value().sampling_stats.rr_sets_generated) +
+         " bound=" + Exact(result.value().spread_lower_bound);
+}
+
+TEST(NonadaptiveGoldenTest, PredefinedCostDerivation) {
+  EXPECT_EQ(DerivedSummary(TargetMethod::kNsg, 1),
+      "targets=3,30,353,27,393,360,387,133,246,226,221,146,334,301,397,244, "
+      "rr=32768 bound=84.118840428896462");
+  EXPECT_EQ(DerivedSummary(TargetMethod::kNsg, 4),
+      "targets=2,22,254,364,347,169,286,399,370,282,374,189,142,393,354,344, "
+      "rr=32768 bound=80.404745881245645");
+  EXPECT_EQ(DerivedSummary(TargetMethod::kNdg, 1),
+      "targets=96,146,176,220,221,254,275,277,303,304,311,334,348,349,351,354,"
+      "356,361,364,367,369,380,384,387,393,394,396,397,399, rr=32768 "
+      "bound=79.033330773951846");
+  EXPECT_EQ(DerivedSummary(TargetMethod::kNdg, 4),
+      "targets=22,112,146,206,209,254,272,282,284,286,290,311,314,334,339,344,"
+      "347,364,367,369,370,372,374,381,386,393,397,398,399, rr=32768 "
+      "bound=79.931802207994252");
 }
 
 }  // namespace
