@@ -261,11 +261,11 @@ void BM_CountCoveringBatchWidth(benchmark::State& state) {
 }
 BENCHMARK(BM_CountCoveringBatchWidth)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Stored-pool batch answering on the general (unindexed) scan path: a
-// whole conditional-marginal sweep against one pool in one CSR pass — the
-// RisSpreadOracle::ExpectedMarginalSpreads shape, every candidate
-// conditioned on the same base. (The NSG/NDG all-unconditional shape takes
-// the O(1)-per-query indexed fast path instead and is not worth timing.)
+// Stored-pool batch answering: a whole conditional-marginal sweep against
+// one pool in one CSR pass — the RisSpreadOracle::ExpectedMarginalSpreads
+// shape, every candidate conditioned on the same base. (NSG/NDG read their
+// per-target coverage off a TargetCoverageIndex, not this batch; their
+// selection is timed by micro_algorithms' BM_NsgSelection/BM_NdgSelection.)
 void BM_RrCollectionAnswerBatch(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 13);
   RRSetGenerator generator(g);

@@ -1,39 +1,32 @@
 #include "core/nonadaptive_greedy.h"
 
-#include <algorithm>
+#include <limits>
+#include <string>
 
-#include "common/bit_vector.h"
-#include "rris/coverage_batch.h"
 #include "rris/rr_collection.h"
 #include "rris/sampling_engine.h"
+#include "rris/target_coverage_index.h"
 
 namespace atpm {
 
 namespace {
 
-// Initial Cov_R({t}) for every target as one batched coverage query over
-// the shared pool. The callers build the inverted index first (their
-// incremental updates need it), so AnswerBatch answers off the index in
-// O(1) per target.
-std::vector<uint64_t> InitialCoverage(const RRCollection& pool,
-                                      std::span<const NodeId> targets) {
-  CoverageQueryBatch batch;
-  for (NodeId t : targets) batch.Add(t);
-  pool.AnswerBatch(&batch);
-  std::vector<uint64_t> coverage(pool.num_nodes(), 0);
-  for (size_t i = 0; i < targets.size(); ++i) {
-    coverage[targets[i]] = batch.hits(i);
-  }
-  return coverage;
-}
-
+// Checks shared by every entry point, made before any engine or pool is
+// allocated; `engine` may be null when the caller has not built one yet.
 Status ValidateFixedSample(const ProfitProblem& problem,
-                           uint64_t num_rr_sets, SamplingEngine* engine) {
+                           uint64_t num_rr_sets,
+                           const SamplingEngine* engine) {
   ATPM_RETURN_NOT_OK(problem.Validate());
   if (num_rr_sets == 0) {
     return Status::InvalidArgument("fixed-sample greedy: num_rr_sets == 0");
   }
-  if (&engine->graph() != problem.graph) {
+  // The coverage index stores set ids as uint32_t.
+  if (num_rr_sets > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "fixed-sample greedy: num_rr_sets " + std::to_string(num_rr_sets) +
+        " exceeds the 2^32 - 1 set ids a coverage index can address");
+  }
+  if (engine != nullptr && &engine->graph() != problem.graph) {
     return Status::InvalidArgument(
         "fixed-sample greedy: sampling engine bound to a different graph");
   }
@@ -44,7 +37,7 @@ Status ValidateFixedSample(const ProfitProblem& problem,
 
 Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
                                  uint64_t num_rr_sets, Rng* rng) {
-  ATPM_RETURN_NOT_OK(problem.Validate());
+  ATPM_RETURN_NOT_OK(ValidateFixedSample(problem, num_rr_sets, nullptr));
   RRSamplingEngine engine(*problem.graph);
   return RunNsg(problem, num_rr_sets, rng, &engine);
 }
@@ -59,7 +52,7 @@ Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
   engine->ResetPool();
   ATPM_RETURN_NOT_OK(
       engine->TryGeneratePool(/*removed=*/nullptr, n, num_rr_sets, rng));
-  RRCollection& pool = engine->pool();
+  const RRCollection& pool = engine->pool();
   // Estimates scale by the sets actually generated — identical to
   // num_rr_sets normally, the honest denominator when a BudgetGate
   // truncated the pool. An empty pool (budget spent before one set) has no
@@ -67,13 +60,16 @@ Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
   if (pool.num_sets() == 0) return NonadaptiveResult{};
   const double scale =
       static_cast<double>(n) / static_cast<double>(pool.num_sets());
-  pool.BuildIndex();
+  const TargetCoverageIndex index(pool, problem.targets);
 
-  // Exact marginal coverage per node, seeded by one batched pool query and
+  // Exact marginal coverage per target, seeded from the index and
   // maintained by decrement on coverage.
-  std::vector<uint64_t> gain = InitialCoverage(pool, problem.targets);
+  std::vector<uint64_t> gain(n, 0);
   std::vector<bool> eligible(n, false);
-  for (NodeId t : problem.targets) eligible[t] = true;
+  for (NodeId t : problem.targets) {
+    gain[t] = index.CoveringSets(t).size();
+    eligible[t] = true;
+  }
   std::vector<bool> covered(pool.num_sets(), false);
 
   NonadaptiveResult result;
@@ -98,12 +94,10 @@ Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
     result.seeds.push_back(best);
     eligible[best] = false;
     covered_total += gain[best];
-    for (uint32_t set_id : pool.CoveringSets(best)) {
+    for (uint32_t set_id : index.CoveringSets(best)) {
       if (covered[set_id]) continue;
       covered[set_id] = true;
-      for (NodeId w : pool.set(set_id)) {
-        if (gain[w] > 0) --gain[w];
-      }
+      for (NodeId w : index.TargetsOf(set_id)) --gain[w];
     }
   }
 
@@ -114,7 +108,7 @@ Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
 
 Result<NonadaptiveResult> RunNdg(const ProfitProblem& problem,
                                  uint64_t num_rr_sets, Rng* rng) {
-  ATPM_RETURN_NOT_OK(problem.Validate());
+  ATPM_RETURN_NOT_OK(ValidateFixedSample(problem, num_rr_sets, nullptr));
   RRSamplingEngine engine(*problem.graph);
   return RunNdg(problem, num_rr_sets, rng, &engine);
 }
@@ -129,30 +123,24 @@ Result<NonadaptiveResult> RunNdg(const ProfitProblem& problem,
   engine->ResetPool();
   ATPM_RETURN_NOT_OK(
       engine->TryGeneratePool(/*removed=*/nullptr, n, num_rr_sets, rng));
-  RRCollection& pool = engine->pool();
+  const RRCollection& pool = engine->pool();
   // See RunNsg: honest denominator under budget truncation, empty seed set
   // when the budget left no evidence at all.
   if (pool.num_sets() == 0) return NonadaptiveResult{};
   const double scale =
       static_cast<double>(n) / static_cast<double>(pool.num_sets());
-  pool.BuildIndex();
+  const TargetCoverageIndex index(pool, problem.targets);
 
-  // count_s[u]: sets containing u not yet covered by S (front marginal),
-  // seeded by one batched pool query.
-  std::vector<uint64_t> count_s = InitialCoverage(pool, problem.targets);
+  // count_s[u]: sets containing u not yet covered by S (front marginal).
+  std::vector<uint64_t> count_s(n, 0);
+  for (NodeId t : problem.targets) count_s[t] = index.CoveringSets(t).size();
   std::vector<bool> covered_by_s(pool.num_sets(), false);
 
   // cand_count[set]: members of the current T (selected + undecided) in the
   // set; Cov(u | T \ {u}) = #sets where u is the only remaining member.
-  std::vector<uint32_t> cand_count(pool.num_sets(), 0);
-  {
-    BitVector in_t(n);
-    for (NodeId t : problem.targets) in_t.Set(t);
-    for (uint64_t i = 0; i < pool.num_sets(); ++i) {
-      for (NodeId w : pool.set(i)) {
-        if (in_t.Test(w)) ++cand_count[i];
-      }
-    }
+  std::vector<uint32_t> cand_count(pool.num_sets());
+  for (uint64_t i = 0; i < pool.num_sets(); ++i) {
+    cand_count[i] = static_cast<uint32_t>(index.TargetsOf(i).size());
   }
 
   NonadaptiveResult result;
@@ -165,7 +153,7 @@ Result<NonadaptiveResult> RunNdg(const ProfitProblem& problem,
     const double z_plus = static_cast<double>(count_s[u]) * scale - cost;
 
     uint64_t exclusive = 0;
-    for (uint32_t set_id : pool.CoveringSets(u)) {
+    for (uint32_t set_id : index.CoveringSets(u)) {
       if (cand_count[set_id] == 1) ++exclusive;
     }
     const double z_minus = cost - static_cast<double>(exclusive) * scale;
@@ -173,17 +161,15 @@ Result<NonadaptiveResult> RunNdg(const ProfitProblem& problem,
     if (z_plus >= z_minus) {
       result.seeds.push_back(u);
       covered_total += count_s[u];
-      for (uint32_t set_id : pool.CoveringSets(u)) {
+      for (uint32_t set_id : index.CoveringSets(u)) {
         if (covered_by_s[set_id]) continue;
         covered_by_s[set_id] = true;
-        for (NodeId w : pool.set(set_id)) {
-          if (count_s[w] > 0) --count_s[w];
-        }
+        for (NodeId w : index.TargetsOf(set_id)) --count_s[w];
       }
       // u stays in T, so cand_count is unchanged.
     } else {
       // u leaves T: it no longer shields sets it covers.
-      for (uint32_t set_id : pool.CoveringSets(u)) {
+      for (uint32_t set_id : index.CoveringSets(u)) {
         ATPM_DCHECK(cand_count[set_id] > 0);
         --cand_count[set_id];
       }

@@ -16,9 +16,9 @@ struct NonadaptiveResult {
   std::vector<NodeId> seeds;
   /// RR sets generated (= the requested pool size).
   uint64_t num_rr_sets = 0;
-  /// Coverage queries the sweep answered on that ONE shared pool (the
-  /// batched per-target initialization); the pool-reuse ratio of a
-  /// fixed-sample greedy is batched_queries per pool.
+  /// Targets whose coverage the greedy read off that ONE shared pool
+  /// (= |T|, each answered by the pool's target coverage index); the
+  /// pool-reuse ratio of a fixed-sample greedy is batched_queries per pool.
   uint64_t batched_queries = 0;
   /// RIS estimate of the expected profit of `seeds` on the same pool.
   double estimated_profit = 0.0;
@@ -34,6 +34,9 @@ struct NonadaptiveResult {
 /// The engine overloads sample the fixed pool through `engine` (must be
 /// bound to problem.graph; its pool is reset); the three-argument forms use
 /// a private one-thread engine, bit-identical to the historical behavior.
+/// Selection reads a TargetCoverageIndex of the pool, never the pool's full
+/// inverted index. `num_rr_sets` must be in [1, 2^32 - 1] (set ids are
+/// uint32_t); anything else is InvalidArgument before any sampling.
 Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
                                  uint64_t num_rr_sets, Rng* rng);
 Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,

@@ -1,5 +1,7 @@
 #include "rris/rr_collection.h"
 
+#include <limits>
+
 namespace atpm {
 
 void RRCollection::AddSet(std::span<const NodeId> nodes) {
@@ -94,27 +96,11 @@ void RRCollection::AnswerBatch(CoverageQueryBatch* batch) const {
   if (num_queries == 0 || num_sets() == 0) return;
   uint64_t* hits = batch->hit_data();
 
-  // Fast path: with the inverted index built, unconditional queries are
-  // O(1) each — the NSG/NDG initialization shape pays nothing beyond the
-  // index it needs anyway.
-  const bool all_unconditional = [&]() {
-    for (const CoverageQuery& query : queries) {
-      if (query.base != nullptr) return false;
-    }
-    return true;
-  }();
-  if (index_built_ && all_unconditional) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      hits[q] = CoveringSets(queries[q].node).size();
-    }
-    return;
-  }
-
-  // General path: one CSR scan. node -> chain of query indices asking
-  // about that node (queries may repeat nodes), plus the conditional
-  // queries grouped by base bitmap: a sweep conditioning many candidates
-  // on the same base (the RisSpreadOracle shape) tests each distinct base
-  // once per set node and stamps once per (set, group).
+  // One CSR scan. node -> chain of query indices asking about that node
+  // (queries may repeat nodes), plus the conditional queries grouped by
+  // base bitmap: a sweep conditioning many candidates on the same base (the
+  // RisSpreadOracle shape) tests each distinct base once per set node and
+  // stamps once per (set, group).
   std::vector<int32_t> head(num_nodes_, -1);
   std::vector<int32_t> next(num_queries, -1);
   constexpr int32_t kNoGroup = -1;
@@ -163,6 +149,7 @@ void RRCollection::AnswerBatch(CoverageQueryBatch* batch) const {
 }
 
 void RRCollection::BuildIndex() {
+  ATPM_DCHECK(num_sets() <= std::numeric_limits<uint32_t>::max());
   index_offsets_.assign(num_nodes_ + 1, 0);
   for (NodeId w : set_nodes_) ++index_offsets_[w + 1];
   for (NodeId v = 0; v < num_nodes_; ++v) {

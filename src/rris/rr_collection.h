@@ -70,11 +70,11 @@ class RRCollection {
   /// counterpart of ConditionalCoverage — a greedy sweep evaluating many
   /// candidates against the same pool pays one CSR scan instead of one per
   /// candidate (conditional queries sharing a base bitmap share its
-  /// per-node tests). Needs no inverted index, but uses it when available:
-  /// an all-unconditional batch on an indexed pool is O(1) per query.
+  /// per-node tests). Needs no inverted index.
   void AnswerBatch(CoverageQueryBatch* batch) const;
 
   /// Builds (or rebuilds) the inverted index node -> covering set ids.
+  /// Set ids are uint32_t, so the pool must hold at most 2^32 - 1 sets.
   void BuildIndex();
   /// True iff the index reflects the current pool.
   bool index_built() const { return index_built_; }

@@ -61,9 +61,8 @@ TEST(AnswerBatchTest, MatchesPerQueryCoverage) {
   EXPECT_EQ(batch.hits(q3), pool.ConditionalCoverage(1, base_b));
   EXPECT_EQ(batch.hits(q4), pool.CoverageOfNode(7));
 
-  // With the index built the mixed batch must answer identically (general
-  // path), and an all-unconditional batch takes the O(1)-per-query index
-  // fast path with the same results.
+  // Building the inverted index must not change any answer: AnswerBatch
+  // always scans the pool, for mixed and all-unconditional batches alike.
   pool.BuildIndex();
   CoverageQueryBatch again;
   again.Add(0);

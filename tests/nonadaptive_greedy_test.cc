@@ -85,6 +85,27 @@ TEST(NsgTest, RejectsZeroSampleSize) {
   EXPECT_FALSE(RunNsg(problem, 0, &rng).ok());
 }
 
+TEST(NsgNdgTest, RejectsPoolBeyondSetIdRange) {
+  // Coverage indexes store set ids as uint32_t: a 2^33-set pool is rejected
+  // before the engine samples (or allocates) anything.
+  const Graph g = MakePathGraph(3, 0.5);
+  ProfitProblem problem = MakeProblem(g, {0}, {0.1});
+  constexpr uint64_t kTheta = 1ull << 33;
+  RRSamplingEngine engine(g);
+  Rng rng(5);
+  EXPECT_TRUE(RunNsg(problem, kTheta, &rng).status().IsInvalidArgument());
+  EXPECT_TRUE(RunNdg(problem, kTheta, &rng).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      RunNsg(problem, kTheta, &rng, &engine).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      RunNdg(problem, kTheta, &rng, &engine).status().IsInvalidArgument());
+  EXPECT_EQ(engine.stats().rr_sets_generated, 0u);
+  EXPECT_EQ(engine.stats().rng_draws, 0u);
+  EXPECT_EQ(engine.pool().num_sets(), 0u);
+  Rng fresh(5);
+  EXPECT_EQ(rng.Next(), fresh.Next());  // no draw was taken
+}
+
 TEST(NsgTest, EstimatedProfitConsistentWithSelection) {
   const Graph g = MakeStarGraph(40, 0.5);
   ProfitProblem problem = MakeProblem(g, {0, 2}, {3.0, 0.2});
