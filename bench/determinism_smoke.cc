@@ -1,12 +1,10 @@
 // Determinism / decision-equivalence smoke over the quickstart instance:
 //
-//   * repeat determinism — every (num_threads, lookahead_window)
-//     configuration run twice must reproduce its seed set bit for bit;
-//   * decision equivalence — all configurations across
-//     num_threads ∈ {1, 2, 4} and lookahead_window ∈ {0, 4} must select
-//     the SAME seed set: thread counts only reshuffle RNG streams of
-//     C1-certified decisions, and speculative answers are either valid
-//     first-round estimates or discarded unread.
+//   * repeat determinism — every num_threads configuration run twice must
+//     reproduce its seed set bit for bit;
+//   * decision equivalence — num_threads ∈ {1, 2, 4} must select the SAME
+//     seed set: thread counts only reshuffle RNG streams of C1-certified
+//     decisions.
 //
 // Exits non-zero on any mismatch — wired into CI next to the fig9 smoke.
 #include <cstdio>
@@ -70,64 +68,54 @@ int main() {
   int failures = 0;
 
   for (uint32_t threads : {1u, 2u, 4u}) {
-    for (uint32_t window : {0u, 4u}) {
-      atpm::HatpOptions options;
-      options.sampling.num_threads = threads;
-      options.sampling.lookahead_window = window;
-      atpm::HatpPolicy hatp(options);
+    atpm::HatpOptions options;
+    options.sampling.num_threads = threads;
+    atpm::HatpPolicy hatp(options);
 
-      std::vector<atpm::NodeId> first_seeds;
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        // The calibrated costs put targets near the decision bar, and
-        // thread counts reshuffle RNG streams, so the world is pinned to
-        // one where every configuration resolves the borderline candidates
-        // the same way (the batched-rounds tests pin seeds likewise). Any
-        // within-config nondeterminism or window-0-vs-4 divergence fails
-        // regardless of the pin.
-        atpm::Rng world_rng(EnvSeed("ATPM_SMOKE_WORLD_SEED", 44));
-        atpm::AdaptiveEnvironment env(
-            atpm::Realization::Sample(graph, &world_rng));
-        atpm::Rng policy_rng(EnvSeed("ATPM_SMOKE_POLICY_SEED", 1));
-        atpm::Result<atpm::AdaptiveRunResult> run =
-            hatp.Run(problem, &env, &policy_rng);
-        if (!run.ok()) {
-          std::fprintf(stderr, "HATP(threads=%u, window=%u) failed: %s\n",
-                       threads, window, run.status().ToString().c_str());
-          return 1;
-        }
-        if (repeat == 0) {
-          first_seeds = run.value().seeds;
-          std::printf(
-              "threads=%u window=%u: %zu seeds, %llu pools, spec hits "
-              "%llu/%llu, discarded %llu\n",
-              threads, window, first_seeds.size(),
-              static_cast<unsigned long long>(run.value().total_count_pools),
-              static_cast<unsigned long long>(run.value().speculation_hits),
-              static_cast<unsigned long long>(run.value().speculation_hits +
-                                              run.value().speculation_misses),
-              static_cast<unsigned long long>(
-                  run.value().speculation_discarded));
-        } else if (run.value().seeds != first_seeds) {
-          std::fprintf(stderr,
-                       "REPEAT NONDETERMINISM at threads=%u window=%u:\n"
-                       "  first  %s\n  second %s\n",
-                       threads, window, FormatSeeds(first_seeds).c_str(),
-                       FormatSeeds(run.value().seeds).c_str());
-          ++failures;
-        }
+    std::vector<atpm::NodeId> first_seeds;
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      // The calibrated costs put targets near the decision bar, and
+      // thread counts reshuffle RNG streams, so the world is pinned to
+      // one where every thread count resolves the borderline candidates
+      // the same way (the batched-rounds tests pin seeds likewise). Any
+      // within-config nondeterminism fails regardless of the pin.
+      atpm::Rng world_rng(EnvSeed("ATPM_SMOKE_WORLD_SEED", 44));
+      atpm::AdaptiveEnvironment env(
+          atpm::Realization::Sample(graph, &world_rng));
+      atpm::Rng policy_rng(EnvSeed("ATPM_SMOKE_POLICY_SEED", 1));
+      atpm::Result<atpm::AdaptiveRunResult> run =
+          hatp.Run(problem, &env, &policy_rng);
+      if (!run.ok()) {
+        std::fprintf(stderr, "HATP(threads=%u) failed: %s\n", threads,
+                     run.status().ToString().c_str());
+        return 1;
       }
-
-      if (!have_reference) {
-        reference_seeds = first_seeds;
-        have_reference = true;
-      } else if (first_seeds != reference_seeds) {
+      if (repeat == 0) {
+        first_seeds = run.value().seeds;
+        std::printf(
+            "threads=%u: %zu seeds %s, %llu pools\n", threads,
+            first_seeds.size(), FormatSeeds(first_seeds).c_str(),
+            static_cast<unsigned long long>(run.value().total_count_pools));
+      } else if (run.value().seeds != first_seeds) {
         std::fprintf(stderr,
-                     "SEED-SET MISMATCH at threads=%u window=%u:\n"
-                     "  reference %s\n  got       %s\n",
-                     threads, window, FormatSeeds(reference_seeds).c_str(),
-                     FormatSeeds(first_seeds).c_str());
+                     "REPEAT NONDETERMINISM at threads=%u:\n"
+                     "  first  %s\n  second %s\n",
+                     threads, FormatSeeds(first_seeds).c_str(),
+                     FormatSeeds(run.value().seeds).c_str());
         ++failures;
       }
+    }
+
+    if (!have_reference) {
+      reference_seeds = first_seeds;
+      have_reference = true;
+    } else if (first_seeds != reference_seeds) {
+      std::fprintf(stderr,
+                   "SEED-SET MISMATCH at threads=%u:\n"
+                   "  reference %s\n  got       %s\n",
+                   threads, FormatSeeds(reference_seeds).c_str(),
+                   FormatSeeds(first_seeds).c_str());
+      ++failures;
     }
   }
 
@@ -136,7 +124,7 @@ int main() {
                  failures);
     return 1;
   }
-  std::printf("determinism smoke OK: one seed set across all "
-              "(threads, window) configurations\n");
+  std::printf("determinism smoke OK: one seed set across all thread "
+              "counts\n");
   return 0;
 }

@@ -12,15 +12,8 @@
 // (override the path with ATPM_BENCH_OUT) so the perf trajectory of the
 // batching layer is machine-readable.
 //
-// A third HATP run enables speculative cross-candidate pipelining
-// (lookahead_window > 0): each round's pool also answers the first-round
-// queries of upcoming candidates, so decisions whose epoch never moved
-// start with a free round. The pipelined-vs-batched count-pools-per-
-// decision ratio and the speculation hit rate are emitted as
-// BENCH_pipelining.json (override with ATPM_BENCH_PIPELINE_OUT).
-//
 // Finally, the RR-generation kernel is compared end to end: two more HATP
-// runs (batched rounds, no lookahead) under the geometric-jump and
+// runs (batched rounds) under the geometric-jump and
 // per-edge kernels, with the engine injected so its lifetime SamplingStats
 // (rng_draws / edges_examined) are readable afterwards. The
 // draws-per-edge ratio and wall-clock speedup are emitted as
@@ -51,12 +44,9 @@ namespace {
 // Per-mode HATP sampling-effort summary derived from the run telemetry.
 struct HatpEffort {
   uint64_t total_rr_sets = 0;
-  uint64_t decisions = 0;  // examined candidates (sampled or served free)
+  uint64_t decisions = 0;  // examined candidates that sampled
   uint64_t coverage_queries = 0;
   uint64_t count_pools = 0;
-  uint64_t speculation_hits = 0;
-  uint64_t speculation_misses = 0;
-  uint64_t speculation_discarded = 0;
   double seconds = 0.0;
   double profit = 0.0;
 
@@ -70,12 +60,6 @@ struct HatpEffort {
                           : static_cast<double>(count_pools) /
                                 static_cast<double>(decisions);
   }
-  double SpeculationHitRate() const {
-    const uint64_t attempts = speculation_hits + speculation_misses;
-    return attempts == 0 ? 0.0
-                         : static_cast<double>(speculation_hits) /
-                               static_cast<double>(attempts);
-  }
   double ReuseRatio() const {
     return count_pools == 0 ? 0.0
                             : static_cast<double>(coverage_queries) /
@@ -88,15 +72,10 @@ HatpEffort SummarizeHatp(const atpm::AdaptiveRunResult& run, double seconds) {
   effort.total_rr_sets = run.total_rr_sets;
   effort.coverage_queries = run.total_coverage_queries;
   effort.count_pools = run.total_count_pools;
-  effort.speculation_hits = run.speculation_hits;
-  effort.speculation_misses = run.speculation_misses;
-  effort.speculation_discarded = run.speculation_discarded;
   effort.seconds = seconds;
   effort.profit = run.realized_profit;
   for (const atpm::AdaptiveStepRecord& step : run.steps) {
-    if (step.rr_sets_used > 0 || step.first_round_speculative) {
-      ++effort.decisions;
-    }
+    if (step.rr_sets_used > 0) ++effort.decisions;
   }
   return effort;
 }
@@ -107,21 +86,15 @@ void PrintEffortJson(std::FILE* out, const char* key,
                "    \"%s\": {\"total_rr_sets\": %llu, \"decisions\": %llu, "
                "\"rr_sets_per_decision\": %.1f, \"coverage_queries\": %llu, "
                "\"count_pools\": %llu, \"pools_per_decision\": %.3f, "
-               "\"reuse_ratio\": %.3f, \"speculation_hits\": %llu, "
-               "\"speculation_misses\": %llu, "
-               "\"speculation_discarded\": %llu, "
-               "\"speculation_hit_rate\": %.3f, "
-               "\"seconds\": %.3f, \"profit\": %.2f}",
+               "\"reuse_ratio\": %.3f, \"seconds\": %.3f, "
+               "\"profit\": %.2f}",
                key, static_cast<unsigned long long>(effort.total_rr_sets),
                static_cast<unsigned long long>(effort.decisions),
                effort.RrSetsPerDecision(),
                static_cast<unsigned long long>(effort.coverage_queries),
                static_cast<unsigned long long>(effort.count_pools),
-               effort.PoolsPerDecision(), effort.ReuseRatio(),
-               static_cast<unsigned long long>(effort.speculation_hits),
-               static_cast<unsigned long long>(effort.speculation_misses),
-               static_cast<unsigned long long>(effort.speculation_discarded),
-               effort.SpeculationHitRate(), effort.seconds, effort.profit);
+               effort.PoolsPerDecision(), effort.ReuseRatio(), effort.seconds,
+               effort.profit);
 }
 
 }  // namespace
@@ -163,17 +136,14 @@ int main() {
   hatp_options.sampling.max_rr_sets_per_decision = std::max<uint64_t>(
       config.hatp_rr_cap, atpm::SamplingOptions{}.max_rr_sets_per_decision);
   hatp_options.sampling.num_threads = config.threads;
-  constexpr uint32_t kLookaheadWindow = 4;
-  // Modes: 0 = batched rounds, 1 = the literal two pools per round,
-  // 2 = batched + speculative cross-candidate pipelining.
-  constexpr int kNumModes = 3;
-  const char* mode_names[kNumModes] = {"batched", "unbatched", "pipelined"};
+  // Modes: 0 = batched rounds, 1 = the literal two pools per round.
+  constexpr int kNumModes = 2;
+  const char* mode_names[kNumModes] = {"batched", "unbatched"};
   HatpEffort efforts[kNumModes];
   atpm::AdaptiveRunResult batched_run;
   for (int mode = 0; mode < kNumModes; ++mode) {
     atpm::HatpOptions options = hatp_options;
-    options.sampling.batched_rounds = mode != 1;
-    options.sampling.lookahead_window = mode == 2 ? kLookaheadWindow : 0;
+    options.sampling.batched_rounds = mode == 0;
     atpm::HatpPolicy hatp(options);
     atpm::AdaptiveEnvironment env{atpm::Realization(runner.worlds()[0])};
     atpm::Rng rng(runner.WorldSeed(0));
@@ -192,15 +162,11 @@ int main() {
       efforts[0].RrSetsPerDecision() > 0.0
           ? efforts[1].RrSetsPerDecision() / efforts[0].RrSetsPerDecision()
           : 0.0;
-  const double pools_per_decision_ratio =
-      efforts[2].PoolsPerDecision() > 0.0
-          ? efforts[0].PoolsPerDecision() / efforts[2].PoolsPerDecision()
-          : 0.0;
 
   std::printf("=== Batched coverage-query layer: HATP RR-set effort ===\n");
   atpm::TablePrinter effort_table(
       {"mode", "RR sets", "decisions", "RR/decision", "queries", "pools",
-       "pools/dec", "reuse", "spec hit", "time(s)"});
+       "pools/dec", "reuse", "time(s)"});
   for (int mode = 0; mode < kNumModes; ++mode) {
     effort_table.AddRow(
         {mode_names[mode], std::to_string(efforts[mode].total_rr_sets),
@@ -210,18 +176,11 @@ int main() {
          std::to_string(efforts[mode].count_pools),
          atpm::FormatDouble(efforts[mode].PoolsPerDecision(), 2),
          atpm::FormatDouble(efforts[mode].ReuseRatio(), 2),
-         atpm::FormatDouble(efforts[mode].SpeculationHitRate(), 2),
          atpm::FormatSeconds(efforts[mode].seconds)});
   }
   effort_table.Print(std::cout);
-  std::printf("RR sets per decision: unbatched/batched = %.2fx\n",
+  std::printf("RR sets per decision: unbatched/batched = %.2fx\n\n",
               per_decision_ratio);
-  std::printf(
-      "Count pools per decision: batched/pipelined = %.2fx "
-      "(lookahead %u, hit rate %.2f, discarded %llu)\n\n",
-      pools_per_decision_ratio, kLookaheadWindow,
-      efforts[2].SpeculationHitRate(),
-      static_cast<unsigned long long>(efforts[2].speculation_discarded));
 
   // --- Kernel comparison: the same batched HATP decision loop under the
   // geometric-jump vs per-edge kernels. Engines are injected so the
@@ -395,28 +354,6 @@ int main() {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
-
-  // --- Pipelining trajectory: pipelined vs plain batched rounds.
-  const char* pipeline_path = std::getenv("ATPM_BENCH_PIPELINE_OUT");
-  if (pipeline_path == nullptr) pipeline_path = "BENCH_pipelining.json";
-  std::FILE* pipeline_out = std::fopen(pipeline_path, "w");
-  if (pipeline_out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", pipeline_path);
-    return 1;
-  }
-  std::fprintf(pipeline_out, "{\n  \"benchmark\": \"fig9_pipelining\",\n");
-  std::fprintf(pipeline_out,
-               "  \"dataset\": \"Epinions\",\n  \"k\": %u,\n"
-               "  \"lookahead_window\": %u,\n  \"hatp\": {\n",
-               k, kLookaheadWindow);
-  PrintEffortJson(pipeline_out, "batched", efforts[0]);
-  std::fprintf(pipeline_out, ",\n");
-  PrintEffortJson(pipeline_out, "pipelined", efforts[2]);
-  std::fprintf(pipeline_out,
-               ",\n    \"count_pools_per_decision_ratio\": %.3f\n  }\n}\n",
-               pools_per_decision_ratio);
-  std::fclose(pipeline_out);
-  std::printf("wrote %s\n", pipeline_path);
 
   // --- End-to-end kernel trajectory.
   const char* kernel_path = std::getenv("ATPM_BENCH_KERNEL_OUT");

@@ -56,10 +56,6 @@ int main() {
       atpm::Realization::Sample(graph, &world_rng));
   atpm::HatpOptions hatp_options;  // paper defaults: eps0=0.5, eps=0.05
   hatp_options.sampling.num_threads = 4;
-  // Speculative cross-candidate pipelining: each halving round's RR pool
-  // also answers the first-round queries of the next 4 candidates, served
-  // for free when no seeding invalidated them (same seed set either way).
-  hatp_options.sampling.lookahead_window = 4;
   atpm::HatpPolicy hatp(hatp_options);
   atpm::Rng policy_rng(1);
   atpm::Result<atpm::AdaptiveRunResult> run =
@@ -77,14 +73,5 @@ int main() {
   std::printf("realized profit  : %.1f\n", run.value().realized_profit);
   std::printf("RR sets generated: %llu\n",
               static_cast<unsigned long long>(run.value().total_rr_sets));
-  std::printf("speculation      : %llu/%llu first rounds served free "
-              "(%llu rounds total, %llu discarded)\n",
-              static_cast<unsigned long long>(run.value().speculation_hits),
-              static_cast<unsigned long long>(run.value().speculation_hits +
-                                              run.value().speculation_misses),
-              static_cast<unsigned long long>(
-                  run.value().speculation_rounds_served),
-              static_cast<unsigned long long>(
-                  run.value().speculation_discarded));
   return 0;
 }

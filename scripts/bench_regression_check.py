@@ -14,7 +14,8 @@ Guards the geometric-jump substrate's two headline numbers:
     hard acceptance floor (>= 1.3x, --batch-floor).
 
 Inputs are the google-benchmark JSON written by
-  micro_substrates --benchmark_filter=Kernel  (BENCH_kernel.json)
+  micro_substrates --benchmark_filter=Kernel  (BENCH_kernel.json; with
+  --benchmark_repetitions the median aggregate of each series is compared)
 the custom end-to-end record written by fig9_sample_scaling
   (BENCH_kernel_e2e.json),
 and the graph-store load-path record written by graph_store_scaling
@@ -53,15 +54,24 @@ class Checker:
 
 
 def load_benchmarks(path):
-    """google-benchmark JSON -> {name: entry}, aggregates excluded."""
+    """google-benchmark JSON -> {name: entry}.
+
+    A file written with --benchmark_repetitions carries aggregate entries;
+    then each benchmark is represented by its median aggregate, keyed by
+    run_name (the name without the "_median" suffix), so one noisy
+    repetition cannot fail a same-run ratio check. A file without
+    aggregates is keyed by the plain per-run entries.
+    """
     with open(path) as f:
         data = json.load(f)
-    out = {}
-    for entry in data.get("benchmarks", []):
-        if entry.get("run_type") == "aggregate":
-            continue
-        out[entry["name"]] = entry
-    return out
+    entries = data.get("benchmarks", [])
+    medians = {e["run_name"]: e for e in entries
+               if e.get("run_type") == "aggregate"
+               and e.get("aggregate_name") == "median"}
+    if medians:
+        return medians
+    return {e["name"]: e for e in entries
+            if e.get("run_type") != "aggregate"}
 
 
 def pair_key(name, knob):

@@ -93,6 +93,100 @@ void NoteDegradationEvent(const DegradationEvent& event) {
   if (reason < 5) metrics.degradation_by_reason[reason]->Increment();
 }
 
+/// One halving round's front/rear conditional-coverage estimates.
+struct FrontRearHits {
+  uint64_t front = 0;
+  uint64_t rear = 0;
+  /// RR sets the hits were counted over — `theta` for a full round, or the
+  /// (< theta) truncated pool size when a BudgetGate stopped the round
+  /// mid-pool. Estimates must scale by THIS, not by the requested theta.
+  uint64_t theta = 0;
+};
+
+/// RR sets a round will draw under the given batching mode (the budget-
+/// check quantity): theta for one shared pool, 2*theta for R1+R2.
+uint64_t RoundRrSets(uint64_t theta, bool batched) {
+  return batched ? theta : 2 * theta;
+}
+
+/// What one halving round did.
+enum class RoundStep {
+  /// Sampled pool(s); the caller charges RoundRrSets(theta, batched) to
+  /// its per-decision budget.
+  kSampled,
+  /// The budget cannot fund the round's pool(s); nothing happened.
+  kOverBudget,
+  /// The engine's BudgetGate (RunBudget deadline / byte cap / cancel)
+  /// stopped the round. hits->theta > 0 means the pool was truncated but
+  /// its estimates are honest over that smaller pool — the caller decides
+  /// from them; hits->theta == 0 means nothing usable was sampled and the
+  /// caller falls back to its previous round (if any).
+  kDegraded,
+};
+
+/// One halving round for u: Cov(u | front_base) and Cov(u | rear_base) on
+/// one shared pool of `theta` RR sets (batched) or on the literal two
+/// independent pools R1, R2 — unless the run budget is already exhausted
+/// or the round exceeds `budget_remaining`, in which case nothing is
+/// sampled. `batch` is scratch reused across rounds.
+///
+/// A non-OK result means the engine failed (injected fault, worker
+/// exception, IO error): kResourceExhausted is the caller's cue to degrade
+/// onto the estimates it already has, anything else propagates.
+Result<RoundStep> SampleRound(SamplingEngine* engine, bool batched, NodeId u,
+                              const BitVector& front_base,
+                              const BitVector& rear_base,
+                              const BitVector* removed, uint32_t num_alive,
+                              uint64_t theta, uint64_t budget_remaining,
+                              Rng* rng, CoverageQueryBatch* batch,
+                              FrontRearHits* hits) {
+  // An exhausted run budget blocks all further sampling; the caller
+  // concludes the decision on whatever evidence it already holds.
+  const BudgetGate* gate = engine->budget();
+  if (gate != nullptr && gate->Exhausted() != BudgetStop::kNone) {
+    hits->theta = 0;
+    return RoundStep::kDegraded;
+  }
+  if (RoundRrSets(theta, batched) > budget_remaining) {
+    return RoundStep::kOverBudget;
+  }
+  if (!batched) {
+    // The literal two-pool sampling, each a one-query batch — the same RNG
+    // consumption (one 64-bit draw per pool) as the historical
+    // CountConditionalCoverage path, so fixed-seed runs stay bit-identical.
+    batch->Clear();
+    const uint32_t front = batch->Add(u, &front_base);
+    const Result<uint64_t> front_sampled = engine->TryCountCoverageBatch(
+        batch, removed, num_alive, theta, rng);
+    if (!front_sampled.ok()) return front_sampled.status();
+    hits->front = batch->hits(front);
+    batch->Clear();
+    const uint32_t rear = batch->Add(u, &rear_base);
+    const Result<uint64_t> rear_sampled = engine->TryCountCoverageBatch(
+        batch, removed, num_alive, theta, rng);
+    if (!rear_sampled.ok()) return rear_sampled.status();
+    hits->rear = batch->hits(rear);
+    // Truncated independent pools have mismatched denominators — no single
+    // honest scale exists, so the round is unusable.
+    const bool full =
+        front_sampled.value() == theta && rear_sampled.value() == theta;
+    hits->theta = full ? theta : 0;
+    return full ? RoundStep::kSampled : RoundStep::kDegraded;
+  }
+  batch->Clear();
+  const uint32_t front = batch->Add(u, &front_base);
+  const uint32_t rear = batch->Add(u, &rear_base);
+  const Result<uint64_t> sampled =
+      engine->TryCountCoverageBatch(batch, removed, num_alive, theta, rng);
+  if (!sampled.ok()) return sampled.status();
+  hits->front = batch->hits(front);
+  hits->rear = batch->hits(rear);
+  hits->theta = sampled.value();
+  // A pool cut short mid-round (hits->theta < theta, possibly 0) is the
+  // gate tripping between the check above and the batch finishing.
+  return hits->theta == theta ? RoundStep::kSampled : RoundStep::kDegraded;
+}
+
 /// The error schedule, estimates and select/abandon comparison of one
 /// decision. Per examined candidate the loop calls Begin, then for every
 /// completed round Observe followed by Stop until Stop returns true (or a
@@ -323,7 +417,6 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
                const ProfitProblem& problem, AdaptiveEnvironment* env,
                SamplingEngineHandle* engines, Rng* rng,
                DecisionLoopTelemetry* result) {
-  using RoundStep = SpeculativeRoundPlanner::RoundStep;
   const std::string name = spec.name;
   ATPM_RETURN_NOT_OK(problem.Validate());
   ATPM_RETURN_NOT_OK(rule->Validate(name));
@@ -348,11 +441,12 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
 
   const LoopMetrics& metrics = LoopMetrics::Get();
   result->steps.reserve(k);
-  SpeculativeRoundPlanner planner(spec.sampling, problem.targets, result);
+  const bool batched = spec.sampling.batched_rounds;
+  CoverageQueryBatch batch;
 
   // Run-level resource envelope: the gate is polled by the engine at batch
-  // boundaries and by the planner before each sampled round. Inactive
-  // budgets arm nothing and the sampling paths stay bit-identical.
+  // boundaries and by SampleRound before each round. Inactive budgets arm
+  // nothing and the sampling paths stay bit-identical.
   BudgetGate gate(spec.sampling.budget);
   ScopedEngineBudget scoped_budget(engine, &gate);
 
@@ -373,15 +467,9 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
   BitVector rear_base(n);
   for (NodeId t : problem.targets) rear_base.Set(t);
   double seed_cost = 0.0;
-  // Without an environment, the bases a speculative answer depends on only
-  // change shape on a selection (abandons are exactly the progressive
-  // clears the planner models), so the staleness epoch is the selection
-  // count.
-  uint64_t selections = 0;
   const double delta = 1.0 / (static_cast<double>(k) * static_cast<double>(n));
 
-  for (size_t pos = 0; pos < problem.targets.size(); ++pos) {
-    const NodeId u = problem.targets[pos];
+  for (const NodeId u : problem.targets) {
     obs::TraceSpan decision_span("decision");
     decision_span.AnnotateU64("node", u);
     AdaptiveStepRecord step;
@@ -399,7 +487,6 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
     const double nd = static_cast<double>(ni);
     const double cost = problem.CostOf(u);
     const BitVector* removed = env != nullptr ? &env->activated() : nullptr;
-    const uint64_t epoch = env != nullptr ? env->residual_epoch() : selections;
     rule->Begin(nd, delta, cost,
                 env != nullptr
                     ? static_cast<double>(env->num_activated()) - seed_cost
@@ -421,8 +508,8 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
       used_this_iter += rr_sets;
       ++step.rounds;
       metrics.rounds->Increment();
-      step.coverage_queries += hits.queries;
-      result->total_count_pools += hits.pools;
+      step.coverage_queries += 2;  // front + rear
+      result->total_count_pools += batched ? 1 : 2;
       rule->Observe(hits);
       last_theta = hits.theta;
       last_eps = rule->epsilon();
@@ -446,16 +533,11 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
       const uint64_t theta = rule->SampleSize();
       obs::TraceSpan round_span("round");
       round_span.AnnotateU64("theta", theta);
-      if (step.rounds == 0) planner.Begin(pos, u, epoch, theta);
-      // One round: served from a stored speculative answer (free, estimates
-      // scale by the answering pool's size), or sampled — batched rounds
-      // share one pool across the front and rear queries, the literal
-      // algorithms pay two independent pools R1, R2.
       FrontRearHits hits;
-      const Result<RoundStep> round = planner.NextRound(
-          engine, u, seed_bitmap, rear_base, removed, ni, theta, epoch,
+      const Result<RoundStep> round = SampleRound(
+          engine, batched, u, seed_bitmap, rear_base, removed, ni, theta,
           spec.sampling.max_rr_sets_per_decision - used_this_iter, rng,
-          &hits);
+          &batch, &hits);
       if (!round.ok()) {
         // Allocation failure is absorbed; real engine faults propagate.
         if (!round.status().IsResourceExhausted()) return round.status();
@@ -466,7 +548,7 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
         if (spec.fail_on_budget_exhausted) {
           return Status::OutOfBudget(
               name + ": deciding node " + std::to_string(u) + " needs " +
-              std::to_string(RoundRrSets(theta, planner.batched())) +
+              std::to_string(RoundRrSets(theta, batched)) +
               " more RR sets (budget " +
               std::to_string(spec.sampling.max_rr_sets_per_decision) + ")");
         }
@@ -478,7 +560,7 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
         // gives honest estimates over what it drew — it becomes the final
         // round; otherwise the previous round's estimates stand.
         if (hits.theta > 0) {
-          complete_round(RoundRrSets(hits.theta, planner.batched()), hits);
+          complete_round(RoundRrSets(hits.theta, batched), hits);
         }
         const BudgetGate* engine_gate = engine->budget();
         degrade(ReasonFromBudgetStop(engine_gate != nullptr
@@ -487,10 +569,7 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
                 theta);
         break;
       }
-      const bool sampled = round.value() == RoundStep::kSampled;
-      if (!sampled && step.rounds == 0) step.first_round_speculative = true;
-      complete_round(sampled ? RoundRrSets(theta, planner.batched()) : 0,
-                     hits);
+      complete_round(RoundRrSets(theta, batched), hits);
       if (rule->Stop()) break;
     }
 
@@ -528,7 +607,6 @@ Status RunLoop(const LoopSpec& spec, StoppingRule* rule,
           }
         } else {
           rear_base.Set(u);  // selected nodes remain in T (Alg 1 semantics)
-          ++selections;
         }
       } else {
         step.decision = SeedDecision::kAbandoned;

@@ -15,9 +15,10 @@ namespace atpm {
 /// The double-greedy halving loop behind ADDATP (Alg 3), HATP (Alg 4) and
 /// HNTP (Section VI-A). The targets are examined in order; for each
 /// candidate u_i the loop runs error-halving rounds — one front/rear
-/// conditional-coverage estimate per round, through a
-/// SpeculativeRoundPlanner — until its stopping rule certifies select vs
-/// abandon, then commits the decision. Two things vary:
+/// conditional-coverage estimate per round, on one shared pool of RR sets
+/// or (SamplingOptions::batched_rounds = false) the literal two pools —
+/// until its stopping rule certifies select vs abandon, then commits the
+/// decision. Two things vary:
 ///
 ///  * the stopping rule, chosen by the options type. AddAtpOptions: the
 ///    additive rule (AddAtpSampleSize, C1/C2 with the optional dynamic C2

@@ -13,7 +13,6 @@ const std::vector<NodeId>& AdaptiveEnvironment::SeedAndObserve(NodeId u) {
   for (NodeId v : last_observed_) activated_.Set(v);
   num_activated_ += static_cast<uint32_t>(last_observed_.size());
   ++num_seedings_;
-  ++residual_epoch_;
   return last_observed_;
 }
 

@@ -46,14 +46,6 @@ class AdaptiveEnvironment {
   /// cross-check policy telemetry (result.seeds) after a run.
   uint32_t num_seedings() const { return num_seedings_; }
 
-  /// Residual-graph version counter: bumped by every SeedAndObserve (each
-  /// seeding activates at least the seed itself, so each one changes the
-  /// residual graph G_i). Skipped and abandoned candidates leave the epoch
-  /// unchanged. The speculative pipelining layer tags cross-candidate
-  /// coverage answers with this value: an answer is valid only while the
-  /// epoch it was sampled under is still current.
-  uint64_t residual_epoch() const { return residual_epoch_; }
-
   /// n_i: nodes remaining in the residual graph.
   uint32_t num_remaining() const {
     return realization_.graph().num_nodes() - num_activated_;
@@ -70,7 +62,6 @@ class AdaptiveEnvironment {
   BitVector activated_;
   uint32_t num_activated_ = 0;
   uint32_t num_seedings_ = 0;
-  uint64_t residual_epoch_ = 0;
   std::vector<NodeId> last_observed_;
 };
 

@@ -16,9 +16,8 @@ namespace atpm {
 /// Cov_R(node | base). `base` may be nullptr for the unconditional
 /// Cov_R({node}); when non-null it must not contain `node` and must outlive
 /// the query's evaluation. Kept minimal on purpose: the counting kernels
-/// scan the query array once per RR set, so caller-side bookkeeping (e.g.
-/// the speculative layer's epoch tags) lives with the harvested answers
-/// (SpeculativeRoundPlanner::Entry), not here.
+/// scan the query array once per RR set, so caller-side bookkeeping lives
+/// with the harvested answers, not here.
 struct CoverageQuery {
   NodeId node = 0;
   const BitVector* base = nullptr;
@@ -41,28 +40,6 @@ struct CoverageQuery {
 /// be shared across is *adaptive* boundaries: once an answer influences the
 /// next query's base/residual (a new halving round, a new seed decision),
 /// that next query needs a fresh pool, or the martingale analysis breaks.
-///
-/// Speculative cross-candidate queries do not violate that boundary: the
-/// first-round front/rear questions of UPCOMING candidates are functions of
-/// the residual graph as it stands when the pool is sampled, not of any
-/// answer the pool produces. A speculative answer may therefore ride the
-/// current round's pool — tagged with the residual-graph epoch — and be
-/// consumed later iff the epoch is unchanged (no seeding happened in
-/// between, so the residual graph the answer was sampled on IS the residual
-/// graph of the consuming round) and the pool held at least the θ the
-/// consuming round requires (more samples only tighten the same per-query
-/// bound). Stale answers are discarded unread, so no estimate sampled on an
-/// outdated residual graph can ever leak into a decision.
-///
-/// Caveat: the per-query bound is unconditional over the pool's draw, but
-/// the CONSUMPTION event (epoch unchanged ⇔ the intermediate candidates
-/// were not selected) was itself decided from the same pool's answers.
-/// When the speculated candidate's coverage overlaps the decided
-/// candidates' heavily, conditioning on consumption can bias the served
-/// estimate beyond its nominal δ. The halving loop re-certifies every
-/// subsequent sampled round independently, so the exposure is one round's
-/// estimate, not the decision guarantee chain — see the README's
-/// speculative-pipelining section for the full discussion.
 ///
 /// Usage:
 ///   batch.Clear();

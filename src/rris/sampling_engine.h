@@ -59,16 +59,6 @@ struct SamplingOptions {
   /// restores the literal two-independent-pools sampling of Algorithms 3/4
   /// (bit-identical to the pre-batching code paths for a fixed seed).
   bool batched_rounds = true;
-  /// Speculative cross-candidate pipelining: every batched halving round's
-  /// pool additionally answers the first-round front/rear queries of the
-  /// next `lookahead_window` undecided candidates, tagged with the
-  /// residual-graph epoch. When the decision loop reaches such a candidate
-  /// and the epoch is unchanged (only seedings bump it — skipped and
-  /// abandoned candidates do not), the stored answer serves its first round
-  /// without sampling a pool; stale answers are discarded unread. 0 (the
-  /// default) disables speculation and is bit-identical to plain batched
-  /// rounds for a fixed seed. Requires batched_rounds; ignored otherwise.
-  uint32_t lookahead_window = 0;
   /// RR-generation kernel. The default geometric-jump kernel is
   /// statistically equivalent to the historical per-edge loop but consumes
   /// a different RNG stream; set kPerEdge to reproduce pre-kernel decision

@@ -14,6 +14,7 @@
 #include "core/addatp.h"
 #include "core/adg.h"
 #include "core/ars.h"
+#include "core/concentration.h"
 #include "core/hatp.h"
 #include "core/hntp.h"
 #include "core/policy.h"
@@ -197,6 +198,138 @@ TEST(FinalizeAdaptiveResultTest, ComputesIdentities) {
   EXPECT_DOUBLE_EQ(result.realized_profit, 2.5);
 }
 
+Graph TestGraph(NodeId n) {
+  Rng rng(7);
+  BarabasiAlbertOptions options;
+  options.num_nodes = n;
+  options.edges_per_node = 2;
+  Graph g = GenerateBarabasiAlbert(options, &rng).value();
+  ApplyWeightedCascade(&g);
+  return g;
+}
+
+ProfitProblem CalibratedProblem(const Graph& g, uint32_t k = 20) {
+  // Mirrors examples/quickstart.cc: top-k IMM targets with degree-
+  // proportional costs calibrated to the spread lower bound, which puts
+  // targets near the decision bar (multi-round halving schedules). Kernel
+  // pinned so the instance matches that calibration.
+  TargetSelectionOptions options;
+  options.kernel = SamplingKernel::kPerEdge;
+  Result<TargetSelectionResult> selection =
+      BuildTopKTargetProblem(g, k, CostScheme::kDegreeProportional, options);
+  EXPECT_TRUE(selection.ok()) << selection.status().ToString();
+  return selection.value().problem;
+}
+
+template <typename Policy, typename Options>
+AdaptiveRunResult RunPolicy(const Graph& g, const ProfitProblem& problem,
+                            const Options& options, uint64_t world_seed = 42,
+                            uint64_t policy_seed = 1) {
+  Policy policy(options);
+  Rng world_rng(world_seed);
+  // Worlds pinned to the historical per-edge stream: the calibrated
+  // instances' clear-cut decision margins were established under it.
+  AdaptiveEnvironment env(Realization::Sample(
+      g, &world_rng, DiffusionModel::kIndependentCascade,
+      SamplingKernel::kPerEdge));
+  Rng rng(policy_seed);
+  Result<AdaptiveRunResult> run = policy.Run(problem, &env, &rng);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  return std::move(run).value();
+}
+
+// --- Budget exhaustion: a first-round abort must be an explicit
+// kBudgetExhausted (never a silent decision on fest = rest = 0), a
+// mid-schedule abort decides from the last completed round.
+
+TEST(BudgetExhaustionTest, FirstRoundAbortIsExplicitAndNeverSeeds) {
+  const Graph g = TestGraph(300);
+  const ProfitProblem problem = CalibratedProblem(g, 10);
+
+  HatpOptions options;
+  options.sampling.max_rr_sets_per_decision = 1;  // below any round-0 theta
+  options.fail_on_budget_exhausted = false;
+  const AdaptiveRunResult run =
+      RunPolicy<HatpPolicy>(g, problem, options);
+
+  EXPECT_TRUE(run.seeds.empty());
+  EXPECT_EQ(run.budget_exhausted_decisions, problem.targets.size());
+  EXPECT_EQ(run.budget_truncated_decisions, 0u);
+  EXPECT_EQ(run.total_rr_sets, 0u);
+  for (const AdaptiveStepRecord& step : run.steps) {
+    EXPECT_EQ(step.decision, SeedDecision::kBudgetExhausted);
+    EXPECT_EQ(step.rounds, 0u);
+    EXPECT_EQ(step.rr_sets_used, 0u);
+  }
+}
+
+TEST(BudgetExhaustionTest, AddAtpFirstRoundAbortDoesNotSelectOnZeroes) {
+  // The historical ADDATP bug was worse than HATP's: with no completed
+  // round, rho_f = rho_r = 0 and "rho_f >= rho_r" SELECTED every
+  // budget-starved node regardless of its true marginal.
+  const Graph g = TestGraph(300);
+  const ProfitProblem problem = CalibratedProblem(g, 10);
+
+  AddAtpOptions options;
+  options.sampling.max_rr_sets_per_decision = 1;
+  options.fail_on_budget_exhausted = false;
+  const AdaptiveRunResult run =
+      RunPolicy<AddAtpPolicy>(g, problem, options);
+
+  EXPECT_TRUE(run.seeds.empty());
+  EXPECT_EQ(run.budget_exhausted_decisions, problem.targets.size());
+  for (const AdaptiveStepRecord& step : run.steps) {
+    EXPECT_EQ(step.decision, SeedDecision::kBudgetExhausted);
+  }
+}
+
+TEST(BudgetExhaustionTest, HntpFirstRoundAbortIsCountedAndNeverSeeds) {
+  const Graph g = TestGraph(300);
+  const ProfitProblem problem = CalibratedProblem(g, 10);
+
+  HntpOptions options;
+  options.sampling.max_rr_sets_per_decision = 1;
+  options.fail_on_budget_exhausted = false;
+  Rng rng(3);
+  Result<HntpResult> result = RunHntp(problem, options, &rng);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().seeds.empty());
+  EXPECT_EQ(result.value().budget_exhausted_decisions,
+            problem.targets.size());
+  EXPECT_EQ(result.value().total_rr_sets, 0u);
+}
+
+TEST(BudgetExhaustionTest, MidScheduleAbortDecidesFromLastCompletedRound) {
+  const Graph g = TestGraph(400);
+  const ProfitProblem problem = CalibratedProblem(g);
+
+  // Budget admitting exactly the first (cheapest) round of the schedule:
+  // every examined candidate completes round 0, candidates wanting more
+  // rounds are truncated — never kBudgetExhausted.
+  HatpOptions options;
+  const double n0 = static_cast<double>(g.num_nodes());
+  const double zeta0 = options.initial_spread_error / n0;
+  const double delta0 =
+      1.0 / (static_cast<double>(problem.targets.size()) * n0);
+  options.sampling.max_rr_sets_per_decision =
+      HatpSampleSize(options.initial_relative_error, zeta0, delta0);
+  options.fail_on_budget_exhausted = false;
+  const AdaptiveRunResult run = RunPolicy<HatpPolicy>(g, problem, options);
+
+  EXPECT_EQ(run.budget_exhausted_decisions, 0u);
+  EXPECT_GT(run.budget_truncated_decisions, 0u);
+  uint64_t truncated = 0;
+  for (const AdaptiveStepRecord& step : run.steps) {
+    EXPECT_NE(step.decision, SeedDecision::kBudgetExhausted);
+    if (step.decision == SeedDecision::kSkippedActivated) continue;
+    EXPECT_EQ(step.rounds, 1u);  // the budget fits exactly one round
+    ++truncated;
+  }
+  // A calibrated instance leaves at least one candidate wanting round 2.
+  EXPECT_GE(truncated, run.budget_truncated_decisions);
+  EXPECT_FALSE(run.seeds.empty());  // clear-cut hubs still decide in round 0
+}
+
 
 // ---- Decision-loop goldens: exact fixed-seed outcomes of ADDATP, HATP and
 // HNTP across their option variants, on the golden instance trace_test and
@@ -205,15 +338,7 @@ TEST(FinalizeAdaptiveResultTest, ComputesIdentities) {
 // that code instrumented to print them); a mismatch is a behaviour change,
 // not a new baseline.
 
-Graph GoldenGraph() {
-  Rng rng(7);
-  BarabasiAlbertOptions options;
-  options.num_nodes = 300;
-  options.edges_per_node = 2;
-  Graph g = GenerateBarabasiAlbert(options, &rng).value();
-  ApplyWeightedCascade(&g);
-  return g;
-}
+Graph GoldenGraph() { return TestGraph(300); }
 
 std::string Exact(double x) {
   char buf[32];
@@ -231,11 +356,7 @@ std::string RunSummary(const DecisionLoopTelemetry& r) {
        " max_iter=" + std::to_string(r.max_rr_sets_per_iteration) +
        " exhausted=" + std::to_string(r.budget_exhausted_decisions) +
        " truncated=" + std::to_string(r.budget_truncated_decisions) +
-       " spec=" + std::to_string(r.speculation_hits) + "/" +
-       std::to_string(r.speculation_rounds_served) + "/" +
-       std::to_string(r.speculation_misses) + "/" +
-       std::to_string(r.speculation_discarded) + "/" +
-       std::to_string(r.speculative_queries) + " degraded=";
+       " degraded=";
   for (const DegradationEvent& e : r.degradation_events) {
     s += std::string(DegradationReasonName(e.reason)) + ":" +
          std::to_string(e.node) + ":" + std::to_string(e.rounds_completed) +
@@ -248,7 +369,7 @@ std::string RunSummary(const DecisionLoopTelemetry& r) {
   return s;
 }
 
-// node:decision:rounds:rr_sets_used:coverage_queries:first_round_speculative
+// node:decision:rounds:rr_sets_used:coverage_queries
 std::string StepsSummary(const std::vector<AdaptiveStepRecord>& steps) {
   std::string s;
   for (const AdaptiveStepRecord& step : steps) {
@@ -256,8 +377,7 @@ std::string StepsSummary(const std::vector<AdaptiveStepRecord>& steps) {
          std::to_string(static_cast<int>(step.decision)) + ":" +
          std::to_string(step.rounds) + ":" +
          std::to_string(step.rr_sets_used) + ":" +
-         std::to_string(step.coverage_queries) + ":" +
-         std::to_string(step.first_round_speculative ? 1 : 0) + " ";
+         std::to_string(step.coverage_queries) + " ";
   }
   return s;
 }
@@ -314,12 +434,12 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunAddAtpGolden(AddAtpOptions{}, g, problem);
      },
      "seeds=2,7,18,17,9, rr=5516789 queries=196 pools=98 "
-     "max_iter=1151561 exhausted=0 truncated=0 spec=0/0/0/0/0 "
+     "max_iter=1151561 exhausted=0 truncated=0 "
      "degraded= eps=0 additive=1.9999999999999998 theta=115482",
-     "2:0:11:367204:22:0 4:1:13:1151561:26:0 7:0:13:1151561:26:0 "
-     "18:0:13:1020066:26:0 13:2:0:0:0:0 17:0:11:221502:22:0 "
-     "8:1:12:396935:24:0 9:0:12:396935:24:0 41:1:13:811025:26:0 "
-     "22:2:0:0:0:0 "},
+     "2:0:11:367204:22 4:1:13:1151561:26 7:0:13:1151561:26 "
+     "18:0:13:1020066:26 13:2:0:0:0 17:0:11:221502:22 "
+     "8:1:12:396935:24 9:0:12:396935:24 41:1:13:811025:26 "
+     "22:2:0:0:0 "},
     {"AddAtpDynamicThreshold",
      [](const Graph& g, const ProfitProblem& problem) {
        AddAtpOptions options;
@@ -328,12 +448,12 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunAddAtpGolden(options, g, problem);
      },
      "seeds=2,7,18,17,9, rr=4921536 queries=192 pools=96 "
-     "max_iter=1151561 exhausted=0 truncated=0 spec=0/0/0/0/0 "
+     "max_iter=1151561 exhausted=0 truncated=0 "
      "degraded= eps=0 additive=2.8284271247461876 theta=66343",
-     "2:0:11:367204:22:0 4:1:10:126989:20:0 7:0:13:1151561:26:0 "
-     "18:0:13:1020066:26:0 13:2:0:0:0:0 17:0:11:221502:22:0 "
-     "8:1:12:396935:24:0 9:0:13:826254:26:0 41:1:13:811025:26:0 "
-     "22:2:0:0:0:0 "},
+     "2:0:11:367204:22 4:1:10:126989:20 7:0:13:1151561:26 "
+     "18:0:13:1020066:26 13:2:0:0:0 17:0:11:221502:22 "
+     "8:1:12:396935:24 9:0:13:826254:26 41:1:13:811025:26 "
+     "22:2:0:0:0 "},
     {"AddAtpRrCapTruncated",
      [](const Graph& g, const ProfitProblem& problem) {
        AddAtpOptions options;
@@ -342,42 +462,28 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunAddAtpGolden(options, g, problem);
      },
      "seeds=2,4,17,9, rr=957206 queries=160 pools=80 max_iter=175759 "
-     "exhausted=0 truncated=8 spec=0/0/0/0/0 "
+     "exhausted=0 truncated=8 "
      "degraded=rr-budget:2:10:191445:91824;"
      "rr-budget:4:10:138319:66343;rr-budget:7:10:127683:61242;"
      "rr-budget:18:10:127683:61242;rr-budget:17:10:127683:61242;"
      "rr-budget:8:10:110579:53038;rr-budget:9:10:110579:53038;"
      "rr-budget:41:10:108647:52111; "
      "eps=0 additive=2.8284271247461898 theta=52111",
-     "2:0:10:175759:20:0 4:0:10:126989:20:0 7:1:10:117223:20:0 "
-     "18:1:10:117223:20:0 13:2:0:0:0:0 17:0:10:117223:20:0 "
-     "8:1:10:101521:20:0 9:0:10:101521:20:0 41:1:10:99747:20:0 "
-     "22:2:0:0:0:0 "},
+     "2:0:10:175759:20 4:0:10:126989:20 7:1:10:117223:20 "
+     "18:1:10:117223:20 13:2:0:0:0 17:0:10:117223:20 "
+     "8:1:10:101521:20 9:0:10:101521:20 41:1:10:99747:20 "
+     "22:2:0:0:0 "},
     {"Hntp",
      [](const Graph&, const ProfitProblem& problem) {
        return RunHntpGolden(HatpOptions{}, problem);
      },
      "seeds=2,18,9,22, rr=1182856 queries=218 pools=109 "
-     "max_iter=128224 exhausted=0 truncated=0 spec=0/0/0/0/0 "
+     "max_iter=128224 exhausted=0 truncated=0 "
      "degraded= eps=0.050000000000000003 additive=1 theta=39094",
-     "2:0:11:103714:22:0 4:1:11:122179:22:0 7:1:11:122179:22:0 "
-     "18:0:11:122179:22:0 13:1:11:127000:22:0 17:1:11:127000:22:0 "
-     "8:1:10:76381:20:0 9:0:11:127000:22:0 41:1:11:127000:22:0 "
-     "22:0:11:128224:22:0 "},
-    {"HntpLookahead4",
-     [](const Graph&, const ProfitProblem& problem) {
-       HatpOptions options;
-       options.sampling.lookahead_window = 4;
-       return RunHntpGolden(options, problem);
-     },
-     "seeds=2,18,17,9, rr=608117 queries=460 pools=55 max_iter=127000 "
-     "exhausted=0 truncated=0 spec=5/53/5/4/350 "
-     "degraded= eps=0.050000000000000003 "
-     "additive=1.4142135623730949 theta=39094",
-     "2:0:11:103714:110:0 4:1:11:122179:110:0 7:1:10:0:0:1 "
-     "18:0:11:0:0:1 13:1:11:127000:110:0 17:0:11:0:0:1 "
-     "8:1:10:77605:80:0 9:0:11:50619:6:1 41:1:11:127000:44:0 "
-     "22:1:11:0:0:1 "},
+     "2:0:11:103714:22 4:1:11:122179:22 7:1:11:122179:22 "
+     "18:0:11:122179:22 13:1:11:127000:22 17:1:11:127000:22 "
+     "8:1:10:76381:20 9:0:11:127000:22 41:1:11:127000:22 "
+     "22:0:11:128224:22 "},
     {"HatpUnbatched",
      [](const Graph& g, const ProfitProblem& problem) {
        HatpOptions options;
@@ -385,26 +491,13 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunHatpGolden(options, g, problem);
      },
      "seeds=2,7,18,17,9, rr=1324312 queries=168 pools=168 "
-     "max_iter=207704 exhausted=0 truncated=0 spec=0/0/0/0/0 "
+     "max_iter=207704 exhausted=0 truncated=0 "
      "degraded= eps=0.050000000000000003 additive=1.9999999999999991 "
      "theta=7203",
-     "2:0:11:207428:22:0 4:1:11:207704:22:0 7:0:11:207704:22:0 "
-     "18:0:11:195488:22:0 13:2:0:0:0:0 17:0:8:28410:16:0 "
-     "8:1:10:111758:20:0 9:0:11:182886:22:0 41:1:11:182934:22:0 "
-     "22:2:0:0:0:0 "},
-    {"HatpLookahead4",
-     [](const Graph& g, const ProfitProblem& problem) {
-       HatpOptions options;
-       options.sampling.lookahead_window = 4;
-       return RunHatpGolden(options, g, problem);
-     },
-     "seeds=2,7,17,9, rr=492695 queries=418 pools=55 max_iter=103714 "
-     "exhausted=0 truncated=0 spec=3/30/5/4/308 "
-     "degraded= eps=0.050000000000000003 "
-     "additive=1.4142135623730949 theta=37289",
-     "2:0:11:103714:110:0 4:1:11:103089:110:0 7:0:11:0:0:1 "
-     "18:1:11:97027:110:0 13:2:0:0:0:0 17:0:9:0:0:1 8:1:11:94405:66:0 "
-     "9:0:10:0:0:1 41:1:11:94460:22:0 22:2:0:0:0:0 "},
+     "2:0:11:207428:22 4:1:11:207704:22 7:0:11:207704:22 "
+     "18:0:11:195488:22 13:2:0:0:0 17:0:8:28410:16 "
+     "8:1:10:111758:20 9:0:11:182886:22 41:1:11:182934:22 "
+     "22:2:0:0:0 "},
     {"HatpRrCapTruncated",
      [](const Graph& g, const ProfitProblem& problem) {
        HatpOptions options;
@@ -413,16 +506,16 @@ const LoopGoldenCase kLoopGoldens[] = {
        return RunHatpGolden(options, g, problem);
      },
      "seeds=2,7,17,9, rr=231853 queries=144 pools=72 max_iter=30931 "
-     "exhausted=0 truncated=8 spec=0/0/0/0/0 "
+     "exhausted=0 truncated=8 "
      "degraded=rr-budget:2:9:24235:11580;rr-budget:4:9:29132:15879;"
      "rr-budget:7:9:29132:15879;rr-budget:18:9:27419:14945;"
      "rr-budget:17:9:27419:14945;rr-budget:8:9:29060:14122;"
      "rr-budget:9:9:29060:14122;rr-budget:41:9:28800:13995; "
      "eps=0.088388347648318405 additive=3.9999999999999996 theta=11580",
-     "2:0:9:28860:18:0 4:1:9:30931:18:0 7:0:9:30931:18:0 "
-     "18:1:9:29113:18:0 13:2:0:0:0:0 17:0:9:29113:18:0 "
-     "8:1:9:27718:18:0 9:0:9:27718:18:0 41:1:9:27469:18:0 "
-     "22:2:0:0:0:0 "},
+     "2:0:9:28860:18 4:1:9:30931:18 7:0:9:30931:18 "
+     "18:1:9:29113:18 13:2:0:0:0 17:0:9:29113:18 "
+     "8:1:9:27718:18 9:0:9:27718:18 41:1:9:27469:18 "
+     "22:2:0:0:0 "},
 };
 
 class DecisionLoopGoldenTest

@@ -402,6 +402,47 @@ TEST(SamplingEngineBatchTest, BatchedEstimatesAgreeAcrossThreadCounts) {
   }
 }
 
+// --- Tiny batches on many-thread engines: a theta below the worker count
+// (or zero) is far below kMinParallelBatch, so it runs inline on the
+// calling thread; the answer must be deterministic and never exceed theta.
+
+TEST(ZeroQuotaWorkerTest, CountCoverageBatchSeededIsDeterministic) {
+  const Graph g = TestGraph(200);
+  BitVector base(g.num_nodes());
+  for (NodeId v = 20; v < 60; ++v) base.Set(v);
+  const uint64_t theta = 3;  // fewer draws than workers
+
+  uint64_t reference[2] = {0, 0};
+  for (int trial = 0; trial < 3; ++trial) {
+    RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 8);
+    CoverageQueryBatch batch;
+    batch.Add(0);
+    batch.Add(1, &base);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      engine.CountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), theta,
+                                      1234);
+      if (trial == 0 && repeat == 0) {
+        reference[0] = batch.hits(0);
+        reference[1] = batch.hits(1);
+      } else {
+        EXPECT_EQ(batch.hits(0), reference[0]);
+        EXPECT_EQ(batch.hits(1), reference[1]);
+      }
+    }
+    EXPECT_LE(batch.hits(0), theta);
+    EXPECT_LE(batch.hits(1), theta);
+  }
+}
+
+TEST(ZeroQuotaWorkerTest, ZeroThetaBatchLeavesZeroHits) {
+  const Graph g = TestGraph(100);
+  RRSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
+  CoverageQueryBatch batch;
+  batch.Add(0);
+  engine.CountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), 0, 9);
+  EXPECT_EQ(batch.hits(0), 0u);
+}
+
 // Shard merge primitive used by the worker pool.
 
 TEST(RRCollectionAppendShardTest, MatchesPerSetInsertion) {
